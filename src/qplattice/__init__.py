@@ -13,14 +13,11 @@ from .linalg import (
     ArgumentError,
     ConvergenceError,
     InvariantError,
-    bandwidth,
-    eig_count_below,
     eigenvalues_banded,
     nearest_eigenpair,
     orthonormal_columns,
     principal_angles,
     restriction_norm,
-    solve_shifted,
 )
 from .operators import (
     GOLDEN_MEAN,

@@ -19,6 +19,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import is_dataclass, asdict, replace
+from functools import partial
 
 import numpy as np
 
@@ -44,7 +45,12 @@ from .cocycle import (
 )
 from .splitting import DEFAULT_WINDOW, detect_splitting, vertical_angle
 from .weyl import spectral_bound
-from .measures import DEFAULT_TRUNCATION, ids, thouless_residual
+from .measures import (
+    DEFAULT_THETA_SAMPLES,
+    DEFAULT_TRUNCATION,
+    ids,
+    thouless_residual,
+)
 from .longrange import subordinacy_probe, duality_transform
 from .corpus import cosine_root_state, run_corpus
 
@@ -178,86 +184,76 @@ def _write_json(path, payload, cfg, args):
     return path
 
 
-def _run_grid(worker, tasks, jobs):
-    """Map a picklable worker over the tasks, keyed by grid index."""
+_NOT_CONVERGED = (ConvergenceError, np.linalg.LinAlgError)
+
+
+def _grid_point(row, not_converged, task):
+    """Row, error message and exit code of one grid point; a failed point
+    keeps only its energy (the last task entry) and reports why."""
+    try:
+        return row(*task), "", EXIT_OK
+    except not_converged as exc:
+        return [task[-1]], str(exc), EXIT_NOCONV
+    except InvariantError as exc:
+        return [task[-1]], str(exc), EXIT_INVARIANT
+
+
+def _run_grid(row, tasks, jobs, not_converged=_NOT_CONVERGED):
+    """Map a picklable row function over the tasks, keyed by grid index.
+
+    Returns the rows, the error messages and the worst exit code.
+    """
+    worker = partial(_grid_point, row, not_converged)
     if jobs <= 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
-
-
-def _merge(results):
+        results = [worker(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(worker, tasks))
     rows = [r for r, _, _ in results]
     errors = [e for _, e, _ in results]
     code = max((c for _, _, c in results), default=EXIT_OK)
     return rows, errors, code
 
 
-# ── grid-point workers (module level: they must survive pickling) ────────────
+# ── grid rows (module level: they must survive pickling) ─────────────────────
 
 
-def _lyapunov_point(task):
-    cfg, energy = task
-    try:
-        strip = _strip_from(cfg)
-        cocycle = transfer_cocycle(strip, energy)
-        est = lyapunov_spectrum(
-            cocycle,
-            int(cfg.get("steps", 10000)),
-            samples=int(cfg.get("samples", DEFAULT_SAMPLES)),
-        )
-        row = [energy] + [float(x) for x in est.exponents] + [est.spread]
-        return row, "", EXIT_OK
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:
-        return [energy], str(exc), EXIT_NOCONV
-    except InvariantError as exc:
-        return [energy], str(exc), EXIT_INVARIANT
+def _lyapunov_row(cfg, energy):
+    est = lyapunov_spectrum(
+        transfer_cocycle(_strip_from(cfg), energy),
+        int(cfg.get("steps", 10000)),
+        samples=int(cfg.get("samples", DEFAULT_SAMPLES)),
+    )
+    return [energy] + [float(x) for x in est.exponents] + [est.spread]
 
 
-def _splitting_point(task):
-    cfg, energy = task
-    try:
-        strip = _strip_from(cfg)
-        cocycle = transfer_cocycle(strip, energy)
-        split = detect_splitting(
-            cocycle,
-            float(cfg.get("theta", 0.0)),
-            int(cfg.get("window", DEFAULT_WINDOW)),
-        )
-        gap = min(split.certificates) if split.certificates else np.nan
-        row = [
-            energy,
-            split.dims[0],
-            split.dims[1],
-            split.dims[2],
-            gap,
-            vertical_angle(split.stable),
-            vertical_angle(split.center),
-        ]
-        return row, "", EXIT_OK
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:
-        return [energy], str(exc), EXIT_NOCONV
-    except InvariantError as exc:
-        return [energy], str(exc), EXIT_INVARIANT
+def _splitting_row(cfg, energy):
+    split = detect_splitting(
+        transfer_cocycle(_strip_from(cfg), energy),
+        float(cfg.get("theta", 0.0)),
+        int(cfg.get("window", DEFAULT_WINDOW)),
+    )
+    gap = min(split.certificates) if split.certificates else np.nan
+    return [
+        energy,
+        split.dims[0],
+        split.dims[1],
+        split.dims[2],
+        gap,
+        vertical_angle(split.stable),
+        vertical_angle(split.center),
+    ]
 
 
-def _thouless_point(task):
-    cfg, table, energy = task
-    try:
-        op = _line_from(cfg)
-        cocycle = companion_cocycle(op, energy)
-        lyap = upper_lyapunov_sum(
-            cocycle,
-            op.hopping.range,
-            int(cfg.get("steps", 10000)),
-            samples=int(cfg.get("samples", DEFAULT_SAMPLES)),
-        )[0]
-        residual = thouless_residual(op, energy, table, lyap)
-        return [energy, lyap, residual], "", EXIT_OK
-    except (ArgumentError, ConvergenceError, np.linalg.LinAlgError) as exc:
-        return [energy], str(exc), EXIT_NOCONV
-    except InvariantError as exc:
-        return [energy], str(exc), EXIT_INVARIANT
+def _thouless_row(cfg, table, energy):
+    op = _line_from(cfg)
+    lyap = upper_lyapunov_sum(
+        companion_cocycle(op, energy),
+        op.hopping.range,
+        int(cfg.get("steps", 10000)),
+        samples=int(cfg.get("samples", DEFAULT_SAMPLES)),
+    )[0]
+    return [energy, lyap, thouless_residual(op, energy, table, lyap)]
 
 
 # ── commands ─────────────────────────────────────────────────────────────────
@@ -266,8 +262,8 @@ def _thouless_point(task):
 def _cmd_lyapunov(cfg, args):
     strip = _strip_from(cfg)  # validate once before forking
     energies = _parse_grid(cfg.get("grid"))
-    results = _run_grid(_lyapunov_point, [(cfg, e) for e in energies], args.jobs)
-    rows, errors, code = _merge(results)
+    rows, errors, code = _run_grid(_lyapunov_row, [(cfg, e) for e in energies],
+                                   args.jobs)
     header = (["E"]
               + ["L%d" % j for j in range(1, 2 * strip.width + 1)]
               + ["spread"])
@@ -284,7 +280,7 @@ def _cmd_ids(cfg, args):
         op,
         energies,
         n_sites=int(cfg.get("truncation", DEFAULT_TRUNCATION)),
-        samples=int(cfg.get("samples", 32)),
+        samples=int(cfg.get("samples", DEFAULT_THETA_SAMPLES)),
     )
     rows = [[e, v] for e, v in zip(table.energies, table.values)]
     path = _write_csv(_out_path(args, "ids.csv"), ["E", "N"], rows,
@@ -325,8 +321,8 @@ def _cmd_weyl(cfg, args):
 def _cmd_splitting(cfg, args):
     _strip_from(cfg)
     energies = _parse_grid(cfg.get("grid"))
-    results = _run_grid(_splitting_point, [(cfg, e) for e in energies], args.jobs)
-    rows, errors, code = _merge(results)
+    rows, errors, code = _run_grid(_splitting_row, [(cfg, e) for e in energies],
+                                   args.jobs)
     header = ["E", "dim_unstable", "dim_center", "dim_stable", "gap",
               "angle_stable", "angle_center"]
     path = _write_csv(_out_path(args, "splitting.csv"), header, rows, errors,
@@ -348,11 +344,11 @@ def _cmd_thouless(cfg, args):
         op,
         table_grid,
         n_sites=int(ids_block.get("truncation", DEFAULT_TRUNCATION)),
-        samples=int(ids_block.get("samples", 32)),
+        samples=int(ids_block.get("samples", DEFAULT_THETA_SAMPLES)),
     )
-    results = _run_grid(_thouless_point, [(cfg, table, e) for e in energies],
-                        args.jobs)
-    rows, errors, code = _merge(results)
+    # an energy the table cannot serve (next to its mass) fails only its row
+    rows, errors, code = _run_grid(_thouless_row, [(cfg, table, e) for e in energies],
+                                   args.jobs, _NOT_CONVERGED + (ArgumentError,))
     header = ["E", "exponent_sum", "residual"]
     path = _write_csv(_out_path(args, "thouless.csv"), header, rows, errors,
                       cfg, args)

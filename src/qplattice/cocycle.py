@@ -92,10 +92,7 @@ def transfer_cocycle(strip, energy):
         a[..., m:, :m] = eye
         return a
 
-    cocycle = Cocycle(strip.alpha, matrix_fn, 2 * m, form=pairing_matrix(c))
-    cocycle.strip = strip
-    cocycle.energy = energy
-    return cocycle
+    return Cocycle(strip.alpha, matrix_fn, 2 * m, form=pairing_matrix(c))
 
 
 def energy_derivative_block(strip):
@@ -139,10 +136,7 @@ def companion_cocycle(line_op, energy):
     form = None
     if k == 1:
         form = pairing_matrix(np.array([[wk]]))
-    cocycle = Cocycle(line_op.alpha, matrix_fn, 2 * k, form=form, form_period=k)
-    cocycle.line_op = line_op
-    cocycle.energy = energy
-    return cocycle
+    return Cocycle(line_op.alpha, matrix_fn, 2 * k, form=form, form_period=k)
 
 
 # ── products ─────────────────────────────────────────────────────────────────

@@ -1,7 +1,7 @@
-"""Shared numerical kernels: structured shifted solves, inertia counts, subspaces.
+"""Shared numerical kernels: banded products, shifted solves and eigenvalues, subspaces.
 
 Everything here is plain linear algebra with no knowledge of lattice
-operators; the operator modules feed it dense or banded Hermitian data.
+operators; the operator modules feed it banded Hermitian data.
 Banded storage follows the LAPACK upper convention used by
 ``scipy.linalg.eig_banded``: ``ab[u + i - j, j] == a[i, j]`` for
 ``max(0, j - u) <= i <= j``.
@@ -10,20 +10,13 @@ Banded storage follows the LAPACK upper convention used by
 import numpy as np
 import scipy.linalg as sla
 
-# Dense fallback kicks in above this half-bandwidth; banded LAPACK loses its
-# edge once the band is a sizable fraction of the matrix.
-MAX_BANDWIDTH = 64
-
 __all__ = [
     "ArgumentError",
     "ConvergenceError",
     "InvariantError",
-    "bandwidth",
-    "to_banded_upper",
     "banded_to_full_band",
-    "solve_shifted",
+    "banded_matmul",
     "solve_shifted_banded",
-    "eig_count_below",
     "eigenvalues_banded",
     "nearest_eigenpair",
     "orthonormal_columns",
@@ -46,29 +39,6 @@ class InvariantError(RuntimeError):
 
 # ── storage helpers ──────────────────────────────────────────────────────────
 
-def bandwidth(a, tol=0.0):
-    """Half-bandwidth of a square matrix: max |i - j| with |a[i, j]| > tol."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    for b in range(n - 1, 0, -1):
-        if np.abs(np.diagonal(a, offset=b)).max() > tol:
-            return b
-        if np.abs(np.diagonal(a, offset=-b)).max() > tol:
-            return b
-    return 0
-
-
-def to_banded_upper(a, bw):
-    """Pack the upper triangle of a Hermitian matrix into banded storage."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    ab = np.zeros((bw + 1, n), dtype=a.dtype)
-    for j in range(n):
-        i0 = max(0, j - bw)
-        ab[bw + i0 - j : bw + 1, j] = a[i0 : j + 1, j]
-    return ab
-
-
 def banded_to_full_band(ab_upper):
     """Expand Hermitian upper-banded storage to the full band used by solvers.
 
@@ -86,54 +56,31 @@ def banded_to_full_band(ab_upper):
     return band, bw
 
 
-def _full_band_matmat(band, bw, x):
-    """Apply a matrix in full-band storage to a vector or column block."""
+def banded_matmul(ab_upper, x):
+    """Product of a Hermitian matrix in upper-banded storage with a vector
+    or a column block."""
+    bw = ab_upper.shape[0] - 1
+    n = ab_upper.shape[1]
     x2 = x if x.ndim == 2 else x[:, None]
-    n = band.shape[1]
-    y = band[bw][:, None] * x2
+    y = ab_upper[bw][:, None] * x2
     for k in range(1, bw + 1):
-        y[: n - k] += band[bw - k, k:][:, None] * x2[k:]
-        y[k:] += band[bw + k, : n - k][:, None] * x2[: n - k]
+        up = ab_upper[bw - k, k:][:, None]
+        y[: n - k] += up * x2[k:]
+        y[k:] += np.conj(up) * x2[: n - k]
     return y if x.ndim == 2 else y[:, 0]
 
 
 # ── shifted solves ───────────────────────────────────────────────────────────
 
-def _check_residual(residual, rhs_norm, tol, what):
-    if residual > tol * max(rhs_norm, 1e-300):
-        raise ConvergenceError(
-            "%s residual %.3e exceeds %.1e * ||rhs|| = %.3e"
-            % (what, residual, tol, tol * rhs_norm)
-        )
+def solve_shifted_banded(ab_upper, z, rhs, tol=1e-10):
+    """Solve ``(h - z) x = rhs`` for Hermitian ``h`` in upper-banded storage.
 
-
-def solve_shifted(h, z, rhs, tol=1e-10):
-    """Solve ``(h - z) x = rhs`` for Hermitian ``h``, picking a structured path.
-
-    Dispatches to a banded solver when the detected half-bandwidth is at most
-    ``MAX_BANDWIDTH``, otherwise does a dense LU.  The solution is residual
+    ``rhs`` is a vector or a column block.  The solution is residual
     checked against ``tol * ||rhs||`` and a failure raises
     :class:`ConvergenceError`.
     """
-    h = np.atleast_2d(np.asarray(h))
-    if h.shape[0] != h.shape[1]:
-        raise ArgumentError("square matrix required, got shape %r" % (h.shape,))
-    rhs = np.asarray(rhs)
-    bw = bandwidth(h)
-    if 0 < bw <= MAX_BANDWIDTH and h.shape[0] > 2 * bw + 1:
-        return solve_shifted_banded(to_banded_upper(h, bw), z, rhs, tol=tol)
-    n = h.shape[0]
-    a = h.astype(np.result_type(h.dtype, type(z), np.complex128), copy=True)
-    a[np.diag_indices(n)] -= z
-    x = sla.solve(a, rhs)
-    residual = np.linalg.norm(a @ x - rhs)
-    _check_residual(residual, np.linalg.norm(rhs), tol, "dense shifted solve")
-    return x
-
-
-def solve_shifted_banded(ab_upper, z, rhs, tol=1e-10):
-    """Banded version of :func:`solve_shifted`; takes Hermitian upper storage."""
-    band, bw = banded_to_full_band(np.asarray(ab_upper))
+    ab_upper = np.asarray(ab_upper)
+    band, bw = banded_to_full_band(ab_upper)
     band = band.astype(np.result_type(band.dtype, type(z), np.complex128), copy=True)
     band[bw] -= z
     rhs = np.asarray(rhs)
@@ -141,8 +88,13 @@ def solve_shifted_banded(ab_upper, z, rhs, tol=1e-10):
         x = rhs / band[0] if rhs.ndim == 1 else rhs / band[0][:, None]
     else:
         x = sla.solve_banded((bw, bw), band, rhs)
-    residual = np.linalg.norm(_full_band_matmat(band, bw, x) - rhs)
-    _check_residual(residual, np.linalg.norm(rhs), tol, "banded shifted solve")
+    residual = np.linalg.norm(banded_matmul(ab_upper, x) - z * x - rhs)
+    rhs_norm = np.linalg.norm(rhs)
+    if residual > tol * max(rhs_norm, 1e-300):
+        raise ConvergenceError(
+            "banded shifted solve residual %.3e exceeds %.1e * ||rhs|| = %.3e"
+            % (residual, tol, tol * rhs_norm)
+        )
     return x
 
 
@@ -154,28 +106,6 @@ def eigenvalues_banded(ab_upper):
     if ab_upper.shape[0] == 2 and not np.iscomplexobj(ab_upper):
         return sla.eigvalsh_tridiagonal(ab_upper[1], ab_upper[0, 1:])
     return sla.eig_banded(ab_upper, lower=False, eigvals_only=True)
-
-
-def eig_count_below(h, e):
-    """Number of eigenvalues of a Hermitian matrix strictly below ``e``.
-
-    Accepts dense matrices or ``(ab_upper,)``-style banded storage (a 2-d
-    array with fewer rows than columns is interpreted as banded).
-    """
-    h = np.asarray(h)
-    if h.ndim != 2:
-        raise ArgumentError("matrix input required")
-    if h.shape[0] < h.shape[1]:
-        eigs = eigenvalues_banded(h)
-    else:
-        if np.linalg.norm(h - h.conj().T) > 1e-12 * max(1.0, np.linalg.norm(h)):
-            raise ArgumentError("Hermitian input required for inertia counts")
-        bw = bandwidth(h)
-        if bw <= MAX_BANDWIDTH and h.shape[0] > 2 * bw + 2:
-            eigs = eigenvalues_banded(to_banded_upper(h, max(bw, 1)))
-        else:
-            eigs = np.linalg.eigvalsh(h)
-    return int(np.searchsorted(np.sort(eigs), e, side="left"))
 
 
 def nearest_eigenpair(ab_upper, sigma, tol=1e-10, max_iter=60):
@@ -199,7 +129,7 @@ def nearest_eigenpair(ab_upper, sigma, tol=1e-10, max_iter=60):
             shift += 1e-12 * max(1.0, abs(shift))
             continue
         x = y / np.linalg.norm(y)
-        hx = _banded_matvec(ab_upper, x)
+        hx = banded_matmul(ab_upper, x)
         lam = float(np.real(np.vdot(x, hx)))
         res = np.linalg.norm(hx - lam * x)
         if res <= tol * max(1.0, abs(lam)):
@@ -208,17 +138,6 @@ def nearest_eigenpair(ab_upper, sigma, tol=1e-10, max_iter=60):
     raise ConvergenceError(
         "Rayleigh iteration stalled near shift %.6g (residual %.3e)" % (sigma, res)
     )
-
-
-def _banded_matvec(ab_upper, x):
-    bw = ab_upper.shape[0] - 1
-    n = ab_upper.shape[1]
-    y = ab_upper[bw].astype(complex) * x
-    for k in range(1, bw + 1):
-        up = ab_upper[bw - k, k:]
-        y[: n - k] += up * x[k:]
-        y[k:] += np.conj(up) * x[: n - k]
-    return y
 
 
 # ── subspace helpers ─────────────────────────────────────────────────────────

@@ -8,10 +8,11 @@ local dimensions of the underlying spectral measure.
 """
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from .cocycle import phase_lattice
 from .linalg import ArgumentError, eigenvalues_banded
-from .operators import LineOperator, StripOperator
+from .operators import StripOperator
 
 DEFAULT_THETA_SAMPLES = 32
 DEFAULT_TRUNCATION = 2048
@@ -25,8 +26,9 @@ MASS_FLOOR = 1e-12
 class IdsTable:
     """Sampled integrated density of states.
 
-    energies ascend; values lie in [0, 1] and are nondecreasing up to
-    the finite-size resolution 1 / (truncation * samples).
+    energies ascend; values are phase-averaged fractions of truncation
+    eigenvalues below each energy, so they lie in [0, 1], never decrease,
+    and move in steps of at most resolution().
     """
 
     energies: np.ndarray
@@ -49,34 +51,14 @@ class IdsTable:
         return 1.0 / (self.truncation * self.samples)
 
 
-def _phase_lattice(samples):
-    return (np.arange(samples) + 0.5) / samples
-
-
-def _line_spectra(op, n_sites, samples):
-    spectra = []
-    for theta in _phase_lattice(samples):
-        shifted = LineOperator(
-            hopping=op.hopping,
-            potential=op.potential,
-            alpha=op.alpha,
-            theta=theta,
-            epsilon=op.epsilon,
-        )
-        ab = shifted.assemble_banded(n_sites)
-        spectra.append(np.sort(eigenvalues_banded(ab)))
-    return spectra
-
-
 def ids(op, energies, n_sites=DEFAULT_TRUNCATION, samples=DEFAULT_THETA_SAMPLES):
     """Integrated density of states on an energy grid.
 
-    Line operators use plain eigenvalue counting of centered Dirichlet
-    truncations, averaged over the phase lattice.  Strip operators
-    weight each truncation eigenvector by the squared mass of its block
-    at the center site and normalize by the strip width, which keeps the
-    values in [0, 1] and makes folded strips agree with their unfolded
-    lines.
+    Eigenvalue counting of the centered Dirichlet truncation (``n_sites``
+    sites of a line, ``n_sites`` blocks of a strip), normalized by the
+    matrix size and averaged over the phase lattice.  A strip counts per
+    site of its fibers, so a folded strip on an even number of blocks
+    reproduces the table of its unfolded line on the same window.
 
     Returns
     -------
@@ -85,37 +67,12 @@ def ids(op, energies, n_sites=DEFAULT_TRUNCATION, samples=DEFAULT_THETA_SAMPLES)
     energies = np.asarray(energies, dtype=float)
     if energies.size < 2:
         raise ArgumentError("need at least two grid energies")
-
-    if isinstance(op, StripOperator):
-        import scipy.linalg as sla
-
-        m = op.width
-        first = -(n_sites // 2)
-        values = np.zeros(energies.size)
-        for theta in _phase_lattice(samples):
-            shifted = StripOperator(
-                coupling=op.coupling,
-                potential=op.potential,
-                alpha=op.alpha,
-                theta=theta,
-                width=m,
-            )
-            ab = shifted.assemble_banded(n_sites, first_block=first)
-            w, v = sla.eig_banded(ab, lower=False)
-            center = -first * m
-            weights = np.sum(np.abs(v[center : center + m, :]) ** 2, axis=0)
-            order = np.argsort(w)
-            w = w[order]
-            cumulative = np.concatenate([[0.0], np.cumsum(weights[order])])
-            values += cumulative[np.searchsorted(w, energies)] / m
-        values /= samples
-    else:
-        spectra = _line_spectra(op, n_sites, samples)
-        values = np.zeros(energies.size)
-        for eigs in spectra:
-            values += np.searchsorted(eigs, energies) / float(n_sites)
-        values /= samples
-
+    values = np.zeros(energies.size)
+    for theta in phase_lattice(samples):
+        ab = replace(op, theta=theta).assemble_banded(n_sites)
+        eigs = np.sort(eigenvalues_banded(ab))
+        values += np.searchsorted(eigs, energies) / ab.shape[1]
+    values /= samples
     return IdsTable(
         energies=energies.copy(),
         values=values,

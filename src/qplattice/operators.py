@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ArgumentError, to_banded_upper
+from .linalg import ArgumentError, banded_matmul
 
 GOLDEN_MEAN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -39,6 +39,22 @@ __all__ = [
 
 
 # ── hopping and potential data ───────────────────────────────────────────────
+
+def _trig_sum(coefficients, x):
+    """``sum_k c_k exp(2 pi i k x)`` over a ``{k: c_k}`` mapping, pointwise in x.
+
+    Real ``x`` gives the real part (the conjugate-symmetric case); complex
+    ``x`` evaluates the analytic continuation.  Matrix coefficients
+    broadcast against trailing unit axes of ``x``.
+    """
+    x = np.asarray(x)
+    out = np.zeros(x.shape, dtype=complex)
+    for k, c in coefficients.items():
+        out = out + c * np.exp(2j * np.pi * k * x)
+    if np.isrealobj(x):
+        out = out.real
+    return out if out.shape else out[()]
+
 
 class Hopping:
     """Conjugate-symmetric hopping coefficients ``w_k`` with finite range.
@@ -89,11 +105,7 @@ class Hopping:
 
     def symbol(self, x):
         """The real symbol  sum_k w_k exp(2 pi i k x)  evaluated pointwise."""
-        x = np.asarray(x)
-        out = np.zeros(np.shape(x), dtype=complex)
-        for k, w in self._table.items():
-            out = out + w * np.exp(2j * np.pi * k * x)
-        return out.real if np.isrealobj(x) else out
+        return _trig_sum(self._table, x)
 
     def as_triples(self):
         return [[k, self._table[k].real, self._table[k].imag]
@@ -142,13 +154,7 @@ class Potential:
         """Evaluate the circle function (fourier kind only); accepts complex x."""
         if self.kind != "fourier":
             raise ArgumentError("explicit sequences have no circle function")
-        x = np.asarray(x)
-        out = np.zeros(np.shape(x), dtype=complex)
-        for k, c in self.coefficients.items():
-            out = out + c * np.exp(2j * np.pi * k * x)
-        if np.isrealobj(x):
-            out = out.real
-        return out if out.shape else out[()]
+        return _trig_sum(self.coefficients, x)
 
     def sample(self, sites, alpha, theta):
         """Values at the given integer sites for rotation (alpha, theta)."""
@@ -167,6 +173,11 @@ class Potential:
 
 
 # ── line operators ───────────────────────────────────────────────────────────
+
+def _dense(ab_upper):
+    # Dense matrix of Hermitian upper-banded storage: its product with I.
+    return banded_matmul(ab_upper, np.eye(ab_upper.shape[1], dtype=ab_upper.dtype))
+
 
 @dataclass
 class LineOperator:
@@ -213,24 +224,11 @@ class LineOperator:
 
     def assemble(self, n_sites, first_site=None):
         """Dense Hermitian Dirichlet truncation (small windows only)."""
-        ab = self.assemble_banded(n_sites, first_site)
-        bw = ab.shape[0] - 1
-        n = ab.shape[1]
-        h = np.zeros((n, n), dtype=ab.dtype)
-        h[np.diag_indices(n)] = ab[bw]
-        for k in range(1, bw + 1):
-            idx = np.arange(n - k)
-            h[idx, idx + k] = ab[bw - k, k:]
-            h[idx + k, idx] = np.conj(ab[bw - k, k:])
-        return h
+        return _dense(self.assemble_banded(n_sites, first_site))
 
     def apply(self, u, first_site=None):
         """Apply the truncated operator to a window of values (Dirichlet)."""
-        u = np.asarray(u)
-        ab = self.assemble_banded(len(u), first_site)
-        from .linalg import _banded_matvec
-        out = _banded_matvec(ab, u.astype(complex))
-        return out.real if (np.isrealobj(u) and not np.iscomplexobj(ab)) else out
+        return banded_matmul(self.assemble_banded(len(u), first_site), np.asarray(u))
 
     def to_config(self):
         cfg = {
@@ -332,16 +330,7 @@ class StripOperator:
 
     def assemble(self, n_blocks, first_block=None):
         """Dense Hermitian Dirichlet block truncation."""
-        ab = self.assemble_banded(n_blocks, first_block)
-        bw = ab.shape[0] - 1
-        n = ab.shape[1]
-        h = np.zeros((n, n), dtype=complex)
-        h[np.diag_indices(n)] = ab[bw]
-        for k in range(1, bw + 1):
-            idx = np.arange(n - k)
-            h[idx, idx + k] = ab[bw - k, k:]
-            h[idx + k, idx] = np.conj(ab[bw - k, k:])
-        return h
+        return _dense(self.assemble_banded(n_blocks, first_block))
 
     def norm_bound(self):
         sup_v = float(np.linalg.norm(self.block(0), 2))
@@ -361,25 +350,20 @@ class HermitianTrigPoly:
     """
 
     def __init__(self, constant, harmonics=()):
-        self.constant = np.asarray(constant, dtype=complex)
-        m = self.constant.shape[0]
-        if np.linalg.norm(self.constant - self.constant.conj().T) > 1e-12 * max(
-                1.0, np.linalg.norm(self.constant)):
+        constant = np.asarray(constant, dtype=complex)
+        m = constant.shape[0]
+        if np.linalg.norm(constant - constant.conj().T) > 1e-12 * max(
+                1.0, np.linalg.norm(constant)):
             raise ArgumentError("constant block must be Hermitian")
-        self.harmonics = [np.asarray(h, dtype=complex).reshape(m, m)
-                          for h in harmonics]
+        self._blocks = {0: constant}
+        for j, h in enumerate(harmonics, start=1):
+            h = np.asarray(h, dtype=complex).reshape(m, m)
+            self._blocks[j] = h
+            self._blocks[-j] = h.conj().T
 
     def __call__(self, phase):
-        phase = np.asarray(phase)
-        m = self.constant.shape[0]
-        out = np.zeros(np.shape(phase) + (m, m), dtype=complex)
-        out += self.constant
-        for j, h in enumerate(self.harmonics, start=1):
-            plus = np.exp(2j * np.pi * j * phase)
-            minus = np.exp(-2j * np.pi * j * phase)
-            out += plus[..., None, None] * h
-            out += minus[..., None, None] * h.conj().T
-        return out
+        # a complex phase keeps the blocks complex at real points
+        return _trig_sum(self._blocks, np.asarray(phase, dtype=complex)[..., None, None])
 
 
 # ── folding a finite-range line operator to a strip ──────────────────────────

@@ -337,12 +337,18 @@ def center_growth(cocycle, splitting, n_max):
     ConvergenceError
         If the transported frame drifts off the invariant one.
     """
+    return _neutral_growth(cocycle, splitting, n_max, backward=False)
+
+
+def _neutral_growth(cocycle, splitting, n_max, backward):
+    # center_growth along the forward orbit, or along the backward one with
+    # the steps A(theta - n alpha)^-1.
     d_c = splitting.dims[1]
     dim = cocycle.dim
     if d_c == 0:
         raise ArgumentError("splitting has no neutral directions")
     theta = splitting.theta
-    alpha = cocycle.alpha
+    alpha = -cocycle.alpha if backward else cocycle.alpha
     mixed = d_c < dim
     if mixed:
         spread = float(splitting.rates[0] - splitting.rates[-1])
@@ -359,7 +365,11 @@ def center_growth(cocycle, splitting, n_max):
     out = np.empty(n_max + 1)
     out[0] = 1.0
     for n in range(1, n_max + 1):
-        q, r = _qr_pos(cocycle.matrix(theta + (n - 1) * alpha) @ q)
+        if backward:
+            step = np.linalg.solve(cocycle.matrix(theta + n * alpha), q)
+        else:
+            step = cocycle.matrix(theta + (n - 1) * alpha) @ q
+        q, r = _qr_pos(step)
         rprod = r @ rprod
         scale = np.linalg.norm(rprod)
         if scale == 0 or not np.isfinite(scale):

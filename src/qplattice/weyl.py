@@ -14,7 +14,6 @@ from .linalg import (
     ArgumentError,
     ConvergenceError,
     InvariantError,
-    orthonormal_columns,
     principal_angles,
     solve_shifted_banded,
 )
@@ -24,9 +23,9 @@ from .splitting import (
     compute_splitting,
     critical_set_test,
     detect_splitting,
+    _neutral_growth,
     _pull_back,
     _push_forward,
-    _qr_pos,
 )
 
 GRAPH_WINDOW_START = 64
@@ -65,6 +64,25 @@ def _graph_slope(frame):
     return frame[:m, :] @ np.linalg.inv(bottom)
 
 
+def _boundary_matrix(strip, z, theta, right):
+    # Slope of the decaying half-line solutions as a graph over the bottom
+    # component, times -C on the right and C on the left.  For Im z > 0 the
+    # imaginary part is checked to be positive definite (Herglotz).
+    cocycle = transfer_cocycle(strip, z)
+    puller = _pull_back if right else _push_forward
+    frame = _stabilized_frame(cocycle, theta, strip.width, puller)
+    coupling = -strip.coupling if right else strip.coupling
+    value = coupling @ _graph_slope(frame)
+    if np.imag(z) > 0:
+        low = float(np.min(np.linalg.eigvalsh((value - value.conj().T) / 2j)))
+        if low <= -1e-10 * max(1.0, np.linalg.norm(value, 2)):
+            raise InvariantError(
+                "imaginary part of the %s boundary matrix is not positive"
+                % ("right" if right else "left")
+            )
+    return value
+
+
 def m_plus(strip, z, theta=0.0):
     """Boundary matrix of the decaying solutions on the right half line.
 
@@ -81,33 +99,13 @@ def m_plus(strip, z, theta=0.0):
     ndarray
         m x m boundary matrix.
     """
-    m = strip.width
-    cocycle = transfer_cocycle(strip, z)
-    frame = _stabilized_frame(cocycle, theta, m, _pull_back)
-    value = -strip.coupling @ _graph_slope(frame)
-    if np.imag(z) > 0:
-        low = float(np.min(np.linalg.eigvalsh((value - value.conj().T) / 2j)))
-        if low <= -1e-10 * max(1.0, np.linalg.norm(value, 2)):
-            raise InvariantError(
-                "imaginary part of the right boundary matrix is not positive"
-            )
-    return value
+    return _boundary_matrix(strip, z, theta, right=True)
 
 
 def m_minus(strip, z, theta=0.0):
     """Boundary matrix of the decaying solutions on the left half line;
     mirror of m_plus built from the most-expanded state directions."""
-    m = strip.width
-    cocycle = transfer_cocycle(strip, z)
-    frame = _stabilized_frame(cocycle, theta, m, _push_forward)
-    value = strip.coupling @ _graph_slope(frame)
-    if np.imag(z) > 0:
-        low = float(np.min(np.linalg.eigvalsh((value - value.conj().T) / 2j)))
-        if low <= -1e-10 * max(1.0, np.linalg.norm(value, 2)):
-            raise InvariantError(
-                "imaginary part of the left boundary matrix is not positive"
-            )
-    return value
+    return _boundary_matrix(strip, z, theta, right=False)
 
 
 # ── whole-line matrix ────────────────────────────────────────────────────────
@@ -244,30 +242,6 @@ class SpectralBoundReport:
     criterion_constant: float
 
 
-def _restricted_sups(cocycle, frame, theta, n_max, backward=False):
-    # Running sup of restricted norms along the orbit, forward or backward.
-    q = frame.copy()
-    rprod = np.eye(frame.shape[1], dtype=complex)
-    log_scale = 0.0
-    sups = np.empty(n_max + 1)
-    sups[0] = 1.0
-    alpha = cocycle.alpha
-    for n in range(1, n_max + 1):
-        if backward:
-            a = cocycle.matrix(theta - n * alpha)
-            q, r = _qr_pos(np.linalg.solve(a, q))
-        else:
-            a = cocycle.matrix(theta + (n - 1) * alpha)
-            q, r = _qr_pos(a @ q)
-        rprod = r @ rprod
-        scale = np.linalg.norm(rprod)
-        log_scale += np.log(scale)
-        rprod /= scale
-        norm = np.exp(log_scale) * np.linalg.norm(rprod, 2)
-        sups[n] = max(sups[n - 1], float(norm))
-    return sups
-
-
 def spectral_bound(strip, energy, eps_grid=None, theta=0.0, dims=None,
                    n_window=DEFAULT_WINDOW):
     """Measure bound and growth-envelope bound near one real energy.
@@ -305,10 +279,11 @@ def spectral_bound(strip, energy, eps_grid=None, theta=0.0, dims=None,
     if splitting.dims[1] == 0:
         raise ArgumentError("no neutral directions at this energy")
 
-    frame = splitting.center
+    # squared neutral-frame sups C(n) = sup^2 along both half orbits, so
+    # sup^42 = C^21 and sup^6 = C^3
     n_big = int(np.ceil(3.0 / min(eps_grid)))
-    fwd = _restricted_sups(base, frame, theta, n_big)
-    bwd = _restricted_sups(base, frame, theta, n_big, backward=True)
+    fwd = _neutral_growth(base, splitting, n_big, backward=False)
+    bwd = _neutral_growth(base, splitting, n_big, backward=True)
 
     m = strip.width
     c_inv = np.linalg.inv(strip.coupling)
@@ -316,7 +291,7 @@ def spectral_bound(strip, energy, eps_grid=None, theta=0.0, dims=None,
     mu_bound = np.empty(len(eps_grid))
     crit_lhs = np.empty(len(eps_grid))
     crit_weight = np.empty(len(eps_grid))
-    sup_two_sided = np.empty(len(eps_grid))
+    growth_two_sided = np.empty(len(eps_grid))
     sup_forward6 = np.empty(len(eps_grid))
     for i, eps in enumerate(eps_grid):
         data = m_matrix(strip, energy + 1j * eps, theta)
@@ -328,11 +303,12 @@ def spectral_bound(strip, energy, eps_grid=None, theta=0.0, dims=None,
             np.real(m + np.trace(c_inv @ x @ x.conj().T @ c_inv.conj().T))
         )
         horizon = int(np.ceil(3.0 / eps))
-        sup_two_sided[i] = max(fwd[horizon], bwd[horizon])
-        sup_forward6[i] = fwd[min(3 * int(np.ceil(1.0 / eps)), n_big)] ** 6
+        growth_two_sided[i] = max(fwd[horizon], bwd[horizon])
+        sup_forward6[i] = fwd[min(3 * int(np.ceil(1.0 / eps)), n_big)] ** 3
 
-    jl_constant = float(np.max(trace_im / sup_two_sided**42))
-    jl_rhs = np.array([e * jl_constant * s**42 for e, s in zip(eps_grid, sup_two_sided)])
+    jl_constant = float(np.max(trace_im / growth_two_sided**21))
+    jl_rhs = np.array([e * jl_constant * g**21
+                       for e, g in zip(eps_grid, growth_two_sided)])
     criterion_constant = float(np.max(crit_weight / (crit_lhs * sup_forward6)))
     criterion_rhs = crit_weight / (criterion_constant * sup_forward6)
 
@@ -355,23 +331,15 @@ def spectral_bound(strip, energy, eps_grid=None, theta=0.0, dims=None,
 
 
 def _resolvent_columns(op, z, q, n_sites):
-    # Solve (truncation - z) v = basis columns at position q, centered window.
+    # Solve (truncation - z) v = basis columns at site (line) or block
+    # (strip) q of the centered window.
     width = getattr(op, "width", 1)
-    if width == 1 and hasattr(op, "hopping"):
-        first = -(n_sites // 2)
-        ab = op.assemble_banded(n_sites, first_site=first)
-        row = q - first
-        if not 0 <= row < n_sites:
-            raise ArgumentError("requested site %d outside the window" % q)
-        rhs = np.zeros((n_sites, 1), dtype=complex)
-        rhs[row, 0] = 1.0
-        return solve_shifted_banded(ab, z, rhs), row, 1
     first = -(n_sites // 2)
-    ab = op.assemble_banded(n_sites, first_block=first)
+    ab = op.assemble_banded(n_sites, first)
     row = (q - first) * width
-    if not 0 <= row < n_sites * width:
-        raise ArgumentError("requested block %d outside the window" % q)
-    rhs = np.zeros((n_sites * width, width), dtype=complex)
+    if not 0 <= row < ab.shape[1]:
+        raise ArgumentError("requested index %d outside the window" % q)
+    rhs = np.zeros((ab.shape[1], width), dtype=complex)
     rhs[row : row + width] = np.eye(width)
     return solve_shifted_banded(ab, z, rhs), row, width
 

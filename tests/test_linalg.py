@@ -1,4 +1,4 @@
-"""Structured solves, inertia counts and subspace helpers."""
+"""Banded products, shifted solves and eigenvalues, and subspace helpers."""
 
 import numpy as np
 import pytest
@@ -6,37 +6,33 @@ import pytest
 from conftest import random_hermitian
 from qplattice.linalg import (
     ArgumentError,
-    bandwidth,
+    ConvergenceError,
+    banded_matmul,
     banded_to_full_band,
-    eig_count_below,
     eigenvalues_banded,
     nearest_eigenpair,
     orthonormal_columns,
     principal_angles,
     restriction_norm,
-    solve_shifted,
     solve_shifted_banded,
-    to_banded_upper,
 )
 
 
 def banded_hermitian(rng, n, bw):
+    """A random Hermitian matrix of half-bandwidth ``bw``, dense and in
+    upper-banded storage (``ab[bw + i - j, j] == h[i, j]``)."""
     h = random_hermitian(rng, n)
     mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= bw
-    return h * mask
-
-
-def test_bandwidth_detection():
-    rng = np.random.default_rng(1)
-    assert bandwidth(np.diag(rng.normal(size=5))) == 0
-    assert bandwidth(banded_hermitian(rng, 30, 3)) == 3
-    assert bandwidth(rng.normal(size=(7, 7))) == 6
+    h = h * mask
+    ab = np.zeros((bw + 1, n), dtype=h.dtype)
+    for k in range(bw + 1):
+        ab[bw - k, k:] = np.diagonal(h, offset=k)
+    return h, ab
 
 
 def test_banded_round_trip():
     rng = np.random.default_rng(2)
-    h = banded_hermitian(rng, 40, 4)
-    ab = to_banded_upper(h, 4)
+    h, ab = banded_hermitian(rng, 40, 4)
     band, bw = banded_to_full_band(ab)
     assert bw == 4
     full = np.zeros_like(h)
@@ -49,63 +45,61 @@ def test_banded_round_trip():
     np.testing.assert_allclose(full, h, atol=1e-14)
 
 
+def test_banded_matmul_vector_and_block():
+    rng = np.random.default_rng(10)
+    h, ab = banded_hermitian(rng, 30, 3)
+    x = rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2))
+    np.testing.assert_allclose(banded_matmul(ab, x), h @ x, atol=1e-12)
+    np.testing.assert_allclose(banded_matmul(ab, x[:, 0]), h @ x[:, 0], atol=1e-12)
+    y = banded_matmul(np.real(ab), x[:, 0].real)
+    assert np.isrealobj(y)
+    np.testing.assert_allclose(y, np.real(h) @ x[:, 0].real, atol=1e-12)
+
+
 @pytest.mark.parametrize("z", [0.3, 2.0 + 0.5j, -1.0 + 1e-3j])
 def test_shifted_solve_matches_dense(z):
     rng = np.random.default_rng(3)
-    h = banded_hermitian(rng, 60, 2)
+    h, ab = banded_hermitian(rng, 60, 2)
     rhs = rng.normal(size=60) + 1j * rng.normal(size=60)
-    x = solve_shifted(h, z, rhs)
     y = np.linalg.solve(h - z * np.eye(60), rhs)
-    np.testing.assert_allclose(x, y, atol=1e-9)
-    xb = solve_shifted_banded(to_banded_upper(h, 2), z, rhs)
-    np.testing.assert_allclose(xb, y, atol=1e-9)
+    np.testing.assert_allclose(solve_shifted_banded(ab, z, rhs), y, atol=1e-9)
 
 
-def test_shifted_solve_dense_path():
-    # above MAX_BANDWIDTH relative to size the dense branch must kick in
+def test_shifted_solve_column_block():
     rng = np.random.default_rng(4)
-    h = random_hermitian(rng, 12)
-    rhs = rng.normal(size=12)
-    x = solve_shifted(h, 0.7j, rhs)
-    np.testing.assert_allclose((h - 0.7j * np.eye(12)) @ x, rhs, atol=1e-10)
+    h, ab = banded_hermitian(rng, 50, 3)
+    rhs = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+    z = 0.4 + 0.2j
+    y = np.linalg.solve(h - z * np.eye(50), rhs)
+    x = solve_shifted_banded(ab, z, rhs)
+    assert x.shape == (50, 2)
+    np.testing.assert_allclose(x, y, atol=1e-9)
 
 
-def test_shifted_solve_rejects_rectangular():
-    with pytest.raises(ArgumentError):
-        solve_shifted(np.zeros((3, 4)), 0.0, np.zeros(4))
+def test_shifted_solve_residual_check_fires():
+    rng = np.random.default_rng(11)
+    _, ab = banded_hermitian(rng, 40, 2)
+    rhs = rng.normal(size=40) + 1j * rng.normal(size=40)
+    with pytest.raises(ConvergenceError):
+        solve_shifted_banded(ab, 0.3 + 0.1j, rhs, tol=1e-30)
 
 
 def test_eigenvalues_banded_matches_dense():
     rng = np.random.default_rng(5)
-    h = banded_hermitian(rng, 50, 3)
-    vals = eigenvalues_banded(to_banded_upper(h, 3))
-    np.testing.assert_allclose(vals, np.linalg.eigvalsh(h), atol=1e-10)
+    h, ab = banded_hermitian(rng, 50, 3)
+    np.testing.assert_allclose(eigenvalues_banded(ab), np.linalg.eigvalsh(h), atol=1e-10)
     # real tridiagonal fast path
-    t = np.real(banded_hermitian(rng, 50, 1))
-    vals = eigenvalues_banded(to_banded_upper(t, 1))
-    np.testing.assert_allclose(vals, np.linalg.eigvalsh(t), atol=1e-10)
-
-
-def test_eig_count_below():
-    rng = np.random.default_rng(6)
-    h = banded_hermitian(rng, 40, 2)
-    eigs = np.linalg.eigvalsh(h)
-    for e in [-1.0, eigs[5] + 1e-9, 0.0, 10.0]:
-        assert eig_count_below(h, e) == int(np.sum(eigs < e))
-    assert eig_count_below(to_banded_upper(h, 2), 0.0) == int(np.sum(eigs < 0))
-
-
-def test_eig_count_below_rejects_non_hermitian():
-    with pytest.raises(ArgumentError):
-        eig_count_below(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
+    t, tb = banded_hermitian(rng, 50, 1)
+    t, tb = np.real(t), np.real(tb)
+    np.testing.assert_allclose(eigenvalues_banded(tb), np.linalg.eigvalsh(t), atol=1e-10)
 
 
 def test_nearest_eigenpair():
     rng = np.random.default_rng(7)
-    h = banded_hermitian(rng, 80, 2)
+    h, ab = banded_hermitian(rng, 80, 2)
     eigs = np.linalg.eigvalsh(h)
     target = eigs[17]
-    lam, x = nearest_eigenpair(to_banded_upper(h, 2), target + 1e-4)
+    lam, x = nearest_eigenpair(ab, target + 1e-4)
     assert abs(lam - target) < 1e-8
     np.testing.assert_allclose(h @ x, lam * x, atol=1e-8)
     assert abs(np.linalg.norm(x) - 1.0) < 1e-12

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_line
 from qplattice.cocycle import (
     companion_cocycle,
     rotation_number,
@@ -78,13 +79,17 @@ def test_table_validation():
 
 
 def test_strip_table_matches_unfolded_line():
-    line = range_two_line()
-    strip = fold_to_strip(line)
-    grid = np.linspace(-3.2, 3.5, 301)
-    from_line = ids(line, grid, n_sites=512, samples=8)
-    from_strip = ids(strip, grid, n_sites=256, samples=8)
-    assert np.all(np.diff(from_strip.values) >= 0)
-    assert np.max(np.abs(from_line.values - from_strip.values)) < 2e-2
+    # a folded strip is unitarily equivalent to its line on the same window
+    for k_width, seed in ((2, 0), (2, 1), (3, 0), (3, 1)):
+        line = random_line(np.random.default_rng(seed), k_width)
+        strip = fold_to_strip(line)
+        bound = line.norm_bound()
+        grid = np.linspace(-bound, bound, 301)
+        from_line = ids(line, grid, n_sites=128 * k_width, samples=8)
+        from_strip = ids(strip, grid, n_sites=128, samples=8)
+        np.testing.assert_array_equal(from_strip.values, from_line.values)
+        assert np.all(np.diff(from_strip.values) >= 0)
+        assert from_strip.values.min() >= 0.0 and from_strip.values.max() <= 1.0
 
 
 # ── log-energy quadrature ────────────────────────────────────────────────────

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_strip
-from qplattice.linalg import ArgumentError, ConvergenceError
+from conftest import random_line, random_strip
+from qplattice.linalg import ArgumentError, ConvergenceError, eigenvalues_banded
 from qplattice.operators import almost_mathieu, fold_to_strip, free_laplacian
 from qplattice.weyl import (
     green_oracle,
@@ -122,6 +122,19 @@ def test_spectral_bound_subcritical_cosine():
     assert np.all(report.mu_bound <= report.jl_rhs * (1 + 1e-9))
     assert np.all(report.criterion_lhs >= report.criterion_rhs * (1 - 1e-9))
     assert report.jl_constant > 0 and report.criterion_constant > 0
+
+
+def test_spectral_bound_mixed_splitting_stays_finite():
+    # hyperbolic and neutral directions together: the neutral-frame sups
+    # must not pick up rounding noise at the top exponent
+    line = random_line(np.random.default_rng(0), 2)
+    energy = np.sort(eigenvalues_banded(line.assemble_banded(400)))[200]
+    report = spectral_bound(fold_to_strip(line), energy, eps_grid=(1e-1, 3e-2, 1e-2))
+    assert report.dims == (1, 2, 1)
+    assert np.all(np.isfinite(report.jl_rhs))
+    assert np.all(report.mu_bound <= report.jl_rhs * (1 + 1e-9))
+    assert np.all(report.criterion_rhs > 0)
+    assert np.all(report.criterion_lhs >= report.criterion_rhs * (1 - 1e-9))
 
 
 def test_spectral_bound_needs_neutral_energy():
