@@ -34,6 +34,10 @@ __all__ = [
 
 DEFAULT_SAMPLES = 32
 
+# Matrix entries per cocycle call in `orbit_matrices`: amortises the per-call
+# overhead without letting a chunk add to a run's peak memory.
+ORBIT_CHUNK_ENTRIES = 2 ** 13
+
 
 def phase_lattice(samples):
     """Midpoint lattice on the circle used for quadrature over the phase."""
@@ -58,11 +62,9 @@ class Cocycle:
     form_period: int = 1
 
     def matrices(self, phases):
-        out = np.asarray(self.matrix_fn(np.asarray(phases)))
-        return out
+        return np.asarray(self.matrix_fn(np.asarray(phases)))
 
-    def matrix(self, phase):
-        return np.asarray(self.matrix_fn(np.asarray(phase)))
+    matrix = matrices
 
 
 # ── builders ─────────────────────────────────────────────────────────────────
@@ -153,12 +155,31 @@ def iterate(cocycle, theta, n):
         return np.eye(d, dtype=complex)
     if n < 0:
         return np.linalg.inv(iterate(cocycle, theta + n * cocycle.alpha, -n))
-    phases = theta + cocycle.alpha * np.arange(n)
-    mats = cocycle.matrices(phases)
     out = np.eye(d, dtype=complex)
-    for s in range(n):
-        out = mats[s] @ out
+    for a in orbit_matrices(cocycle, theta + cocycle.alpha * np.arange(n)):
+        out = a @ out
     return out
+
+
+def orbit_matrices(cocycle, phases):
+    """Fiber matrices along an orbit, one step (first axis of ``phases``)
+    at a time, from one cocycle call per chunk of steps."""
+    phases = np.asarray(phases)
+    batch = int(np.prod(phases.shape[1:]))
+    chunk = max(1, ORBIT_CHUNK_ENTRIES // (batch * cocycle.dim ** 2))
+    for start in range(0, len(phases), chunk):
+        block = phases[start:start + chunk]
+        # a map that ignores its phases returns one matrix for the whole block
+        yield from np.broadcast_to(cocycle.matrices(block),
+                                   block.shape + (cocycle.dim, cocycle.dim))
+
+
+def transport(cocycle, q, phases, inverse=False):
+    """Yield ``(q, r) = qr(A q)`` per step of the orbit, or ``qr(A^-1 q)``
+    with ``inverse``, carrying the frame ``q`` forward."""
+    for a in orbit_matrices(cocycle, phases):
+        q, r = np.linalg.qr(np.linalg.solve(a, q) if inverse else a @ q)
+        yield q, r
 
 
 def _qr_engine(cocycle, phases, n_steps, top):
@@ -169,10 +190,8 @@ def _qr_engine(cocycle, phases, n_steps, top):
     d = cocycle.dim
     q = np.broadcast_to(np.eye(d, dtype=complex)[:, :top], (ns, d, top)).copy()
     acc = np.zeros((ns, top))
-    for s in range(n_steps):
-        mats = cocycle.matrices(phases + s * cocycle.alpha)
-        q = mats @ q
-        q, r = np.linalg.qr(q)
+    orbit = phases + cocycle.alpha * np.arange(n_steps)[:, None]
+    for _, r in transport(cocycle, q, orbit):
         diag = np.abs(np.einsum("sii->si", r))
         if np.any(diag <= 0):
             raise InvariantError("singular step in QR evolution")
@@ -251,9 +270,9 @@ def rotation_number(cocycle, n_steps, samples=8, phases=None):
     v = np.tile(np.array([1.0, 0.0]), (ns, 1))
     total = np.zeros(ns)
     ang = np.arctan2(v[:, 1], v[:, 0])
-    for s in range(n_steps):
-        mats = np.real(cocycle.matrices(phases + s * cocycle.alpha))
-        v = np.einsum("sij,sj->si", mats, v)
+    orbit = phases + cocycle.alpha * np.arange(n_steps)[:, None]
+    for mats in orbit_matrices(cocycle, orbit):
+        v = np.einsum("sij,sj->si", np.real(mats), v)
         new_ang = np.arctan2(v[:, 1], v[:, 0])
         delta = new_ang - ang
         delta -= 2 * np.pi * np.round(delta / (2 * np.pi))

@@ -21,7 +21,13 @@ from .operators import (
     free_laplacian,
     unfold_vector,
 )
-from .cocycle import acceleration, rotation_number, top_lyapunov, transfer_cocycle
+from .cocycle import (
+    acceleration,
+    orbit_matrices,
+    rotation_number,
+    top_lyapunov,
+    transfer_cocycle,
+)
 from .symplectic import wronskian
 from .splitting import compute_splitting, center_growth
 from .measures import ids
@@ -116,14 +122,15 @@ def _wronskian_drift(strip, energy, theta, x0, y0, n_steps):
     y_logs = np.empty(n_steps + 1)
     y_states[n_steps] = y
     y_logs[n_steps] = 0.0
-    for n in range(n_steps - 1, -1, -1):
-        a = c.matrix(theta + n * c.alpha)
+    backward = np.arange(n_steps - 1, -1, -1)
+    for n, a in zip(backward, orbit_matrices(c, theta + c.alpha * backward)):
         y = np.linalg.solve(a, y)
         sy = np.linalg.norm(y)
         y = y / sy
         y_states[n] = y
         y_logs[n] = y_logs[n + 1] + np.log(sy)
 
+    forward = orbit_matrices(c, theta + c.alpha * np.arange(n_steps))
     log_x = 0.0
     base = None
     drift = 0.0
@@ -136,8 +143,7 @@ def _wronskian_drift(strip, energy, theta, x0, y0, n_steps):
         drift = max(drift, abs(value - base[1]))
         scale = max(scale, abs(value))
         if n < n_steps:
-            a = c.matrix(theta + n * c.alpha)
-            x = a @ x
+            x = next(forward) @ x
             sx = np.linalg.norm(x)
             x = x / sx
             log_x += np.log(sx)

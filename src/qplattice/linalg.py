@@ -63,7 +63,7 @@ def banded_matmul(ab_upper, x):
     n = ab_upper.shape[1]
     x2 = x if x.ndim == 2 else x[:, None]
     y = ab_upper[bw][:, None] * x2
-    for k in range(1, bw + 1):
+    for k in range(1, min(bw, n - 1) + 1):
         up = ab_upper[bw - k, k:][:, None]
         y[: n - k] += up * x2[k:]
         y[k:] += np.conj(up) * x2[: n - k]

@@ -28,7 +28,9 @@ class IdsTable:
 
     energies ascend; values are phase-averaged fractions of truncation
     eigenvalues below each energy, so they lie in [0, 1], never decrease,
-    and move in steps of at most resolution().
+    and move in steps of at most resolution().  ``truncation`` is the
+    number of eigenvalues counted per phase: the sites of a line window,
+    or the blocks of a strip window times the strip width.
     """
 
     energies: np.ndarray
@@ -76,7 +78,7 @@ def ids(op, energies, n_sites=DEFAULT_TRUNCATION, samples=DEFAULT_THETA_SAMPLES)
     return IdsTable(
         energies=energies.copy(),
         values=values,
-        truncation=int(n_sites),
+        truncation=int(n_sites) * getattr(op, "width", 1),
         samples=int(samples),
     )
 

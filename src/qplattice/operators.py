@@ -315,17 +315,13 @@ class StripOperator:
         bw = 2 * m - 1
         ab = np.zeros((bw + 1, n), dtype=complex)
         v = self.blocks(np.arange(first_block, first_block + n_blocks))
-        c = self.coupling
-        for b in range(n_blocks):
-            base = b * m
-            for i in range(m):
-                for j in range(i, m):
-                    ab[bw + (base + i) - (base + j), base + j] = v[b, i, j]
-            if b + 1 < n_blocks:
-                for i in range(m):
-                    for j in range(m):
-                        row, col = base + i, base + m + j
-                        ab[bw + row - col, col] = c[i, j]
+        # entry (i, j) of block b sits at column b m + j and diagonal offset
+        # j - i; the coupling to block b + 1 adds m to the offset
+        for i in range(m):
+            for j in range(m):
+                if i <= j:
+                    ab[bw + i - j, j::m] = v[:, i, j]
+                ab[bw + i - m - j, m + j::m] = self.coupling[i, j]
         return ab
 
     def assemble(self, n_blocks, first_block=None):

@@ -20,7 +20,7 @@ from .linalg import (
     restriction_norm,
 )
 from .symplectic import form_defect, reverse_norm_constant
-from .cocycle import finite_window_rates
+from .cocycle import finite_window_rates, transport
 
 DEFAULT_WINDOW = 128
 GAP_THRESHOLD = 1.01
@@ -63,42 +63,23 @@ class Splitting:
     window: int
 
 
-def _qr_pos(a):
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r).copy()
-    d[d == 0] = 1.0
-    s = d / np.abs(d)
-    return q * s.conj(), s[:, None] * r
-
-
 def _empty_frame(dim):
     return np.zeros((dim, 0), dtype=complex)
 
 
-def _push_forward(cocycle, theta, n_window, n_cols, seed):
+def _converged_frame(cocycle, theta, n_window, n_cols, seed, backward):
     # Converge onto the fastest-expanding image directions by pushing a
-    # random frame forward across the window ending at theta.
+    # random frame forward across the window ending at theta, or with
+    # ``backward`` onto the most-contracted directions by pulling it back
+    # across the window starting at theta.
     rng = np.random.default_rng(seed)
     dim = cocycle.dim
     q = orthonormal_columns(
         rng.standard_normal((dim, n_cols)) + 1j * rng.standard_normal((dim, n_cols))
     )
-    for j in range(-n_window, 0):
-        q, _ = _qr_pos(cocycle.matrix(theta + j * cocycle.alpha) @ q)
-    return q
-
-
-def _pull_back(cocycle, theta, n_window, n_cols, seed):
-    # Converge onto the most-contracted directions by pulling a random
-    # frame back across the window starting at theta.
-    rng = np.random.default_rng(seed)
-    dim = cocycle.dim
-    q = orthonormal_columns(
-        rng.standard_normal((dim, n_cols)) + 1j * rng.standard_normal((dim, n_cols))
-    )
-    for j in range(n_window, 0, -1):
-        a = cocycle.matrix(theta + (j - 1) * cocycle.alpha)
-        q, _ = _qr_pos(np.linalg.solve(a, q))
+    steps = np.arange(n_window - 1, -1, -1) if backward else np.arange(-n_window, 0)
+    for q, _ in transport(cocycle, q, theta + cocycle.alpha * steps, inverse=backward):
+        pass
     return q
 
 
@@ -137,8 +118,10 @@ def _center_complement(cocycle, theta, fast, slow, d_center):
     else:
         n_window = DEFAULT_WINDOW
         h = fast.shape[1]
-        slow_fwd = _pull_back(cocycle, theta, n_window, dim - h, seed=5)
-        slow_bwd = _push_forward(cocycle, theta, n_window, dim - h, seed=6)
+        slow_fwd = _converged_frame(cocycle, theta, n_window, dim - h, seed=5,
+                                    backward=True)
+        slow_bwd = _converged_frame(cocycle, theta, n_window, dim - h, seed=6,
+                                    backward=False)
         frame = _intersect_frames(slow_fwd, slow_bwd)
     if frame.shape[1] != d_center:
         raise ConvergenceError(
@@ -152,12 +135,14 @@ def _frames_at(cocycle, theta, dims, n_window):
     d_u, d_c, d_s = dims
     dim = cocycle.dim
     fast = (
-        _push_forward(cocycle, theta, n_window, d_u, seed=1)
+        _converged_frame(cocycle, theta, n_window, d_u, seed=1, backward=False)
         if d_u
         else _empty_frame(dim)
     )
     slow = (
-        _pull_back(cocycle, theta, n_window, d_s, seed=2) if d_s else _empty_frame(dim)
+        _converged_frame(cocycle, theta, n_window, d_s, seed=2, backward=True)
+        if d_s
+        else _empty_frame(dim)
     )
     center = (
         _center_complement(cocycle, theta, fast, slow, d_c)
@@ -359,31 +344,32 @@ def _neutral_growth(cocycle, splitting, n_max, backward):
     else:
         rebase_every = n_max + 1  # pure rotation-type: nothing to contaminate
         fresh_window = splitting.window
-    q = splitting.center.copy()
+    q = splitting.center
     rprod = np.eye(d_c, dtype=complex)
     log_scale = 0.0
     out = np.empty(n_max + 1)
     out[0] = 1.0
-    for n in range(1, n_max + 1):
-        if backward:
-            step = np.linalg.solve(cocycle.matrix(theta + n * alpha), q)
-        else:
-            step = cocycle.matrix(theta + (n - 1) * alpha) @ q
-        q, r = _qr_pos(step)
-        rprod = r @ rprod
-        scale = np.linalg.norm(rprod)
-        if scale == 0 or not np.isfinite(scale):
-            raise ConvergenceError("restricted product degenerated at step %d" % n)
-        log_scale += np.log(scale)
-        rprod = rprod / scale
-        log_norm = log_scale + np.log(np.linalg.norm(rprod, 2))
-        if log_norm > 350.0:
-            raise ConvergenceError(
-                "neutral restricted growth overflowed at step %d; "
-                "the certificates were unreliable" % n
-            )
-        out[n] = max(out[n - 1], float(np.exp(2.0 * log_norm)))
-        if mixed and (n % rebase_every == 0 or n == n_max):
+    n = 0
+    while n < n_max:
+        # one segment of steps n+1 .. end, then a rebasing when mixed
+        end = min(n + rebase_every, n_max)
+        steps = np.arange(n + 1, end + 1) if backward else np.arange(n, end)
+        for q, r in transport(cocycle, q, theta + alpha * steps, inverse=backward):
+            n += 1
+            rprod = r @ rprod
+            scale = np.linalg.norm(rprod)
+            if scale == 0 or not np.isfinite(scale):
+                raise ConvergenceError("restricted product degenerated at step %d" % n)
+            log_scale += np.log(scale)
+            rprod = rprod / scale
+            log_norm = log_scale + np.log(np.linalg.norm(rprod, 2))
+            if log_norm > 350.0:
+                raise ConvergenceError(
+                    "neutral restricted growth overflowed at step %d; "
+                    "the certificates were unreliable" % n
+                )
+            out[n] = max(out[n - 1], float(np.exp(2.0 * log_norm)))
+        if mixed:
             _, fresh, _ = _frames_at(
                 cocycle, theta + n * alpha, splitting.dims, fresh_window
             )
@@ -583,12 +569,15 @@ def center_variation_check(
     stations = {0: frames_and_projector(theta)}
     for n in checkpoints:
         stations[n] = frames_and_projector(theta + n * alpha)
+    envelope = center_growth(
+        base, compute_splitting(base, theta, dims, n_window), max(checkpoints)
+    )
 
-    envelope = None
     growth = {}
     records = []
     lipschitz = {}
     qc0, _ = stations[0]
+    orbit = theta + alpha * np.arange(max(checkpoints))
     phases_lip = theta + alpha * (np.arange(8) + 0.5) / 8.0
 
     for eps in eps_grid:
@@ -602,55 +591,39 @@ def center_variation_check(
             raise ConvergenceError("projection ill-conditioned at the base phase")
         p_inv = np.linalg.inv(p_mat)
 
-        q = qc_eps.copy()
         rprod = np.eye(d_c, dtype=complex)
         log_scale = 0.0
         values = {}
-        pos = 0
-        for n in range(1, max(checkpoints) + 1):
-            q, r = _qr_pos(shifted.matrix(theta + (n - 1) * alpha) @ q)
+        for n, (q, r) in enumerate(transport(shifted, qc_eps, orbit), start=1):
             rprod = r @ rprod
             scale = np.linalg.norm(rprod)
             log_scale += np.log(scale)
             rprod = rprod / scale
-            if n == checkpoints[pos]:
+            if n in stations:
                 qc_n, proj_n = stations[n]
                 coord = qc_n.conj().T @ proj_n @ q @ rprod @ p_inv
                 values[n] = float(np.exp(log_scale) * np.linalg.norm(coord, 2))
-                pos += 1
-                if pos == len(checkpoints):
-                    break
         growth[eps] = values
 
         if eps == 0.0:
-            reference = center_growth(base, compute_splitting(base, theta, dims, n_window), max(checkpoints))
-            envelope = reference
             for n, val in values.items():
-                if abs(val**2 - reference[n]) > 1e-10 * reference[n] and val**2 > reference[n]:
+                if abs(val**2 - envelope[n]) > 1e-10 * envelope[n] and val**2 > envelope[n]:
                     raise InvariantError(
                         "zero-shift projected growth disagrees with the restricted envelope"
                     )
         else:
             for n, val in values.items():
-                records.append((val, envelope[n] if envelope is not None else 1.0, eps, n))
+                records.append((val, envelope[n], eps, n))
             drifts = []
-            for phase in phases_lip:
+            for phase, step_shift, step_base in zip(
+                phases_lip, shifted.matrices(phases_lip), base.matrices(phases_lip)
+            ):
                 qc_a, proj_a = frames_and_projector(phase + alpha)
                 qc_b, _ = frames_and_projector(phase)
-                a_shift = qc_a.conj().T @ proj_a @ shifted.matrix(phase) @ qc_b
-                a_base = qc_a.conj().T @ base.matrix(phase) @ qc_b
+                a_shift = qc_a.conj().T @ proj_a @ step_shift @ qc_b
+                a_base = qc_a.conj().T @ step_base @ qc_b
                 drifts.append(np.linalg.norm(a_shift - a_base, 2) / eps)
             lipschitz[eps] = float(max(drifts))
-
-    if envelope is None:
-        splitting0 = compute_splitting(base, theta, dims, n_window)
-        envelope = center_growth(base, splitting0, max(checkpoints))
-        records = [
-            (val, envelope[n], eps, n)
-            for eps, values in growth.items()
-            if eps
-            for n, val in values.items()
-        ]
 
     c_growth = _fit_growth_constant(records) if records else 1.0
     window = [v for e, v in lipschitz.items() if 1e-5 <= e <= 1e-3]

@@ -23,9 +23,8 @@ from .splitting import (
     compute_splitting,
     critical_set_test,
     detect_splitting,
+    _converged_frame,
     _neutral_growth,
-    _pull_back,
-    _push_forward,
 )
 
 GRAPH_WINDOW_START = 64
@@ -36,11 +35,11 @@ GRAPH_STABLE_TOL = 1e-11
 # ── half-line solution graphs ────────────────────────────────────────────────
 
 
-def _stabilized_frame(cocycle, theta, n_cols, puller):
+def _stabilized_frame(cocycle, theta, n_cols, backward):
     prev = None
     n = GRAPH_WINDOW_START
     while n <= GRAPH_WINDOW_MAX:
-        frame = puller(cocycle, theta, n, n_cols, seed=11)
+        frame = _converged_frame(cocycle, theta, n, n_cols, seed=11, backward=backward)
         if prev is not None:
             gap = np.sin(principal_angles(prev, frame)[-1]) if n_cols else 0.0
             if gap < GRAPH_STABLE_TOL:
@@ -69,8 +68,7 @@ def _boundary_matrix(strip, z, theta, right):
     # component, times -C on the right and C on the left.  For Im z > 0 the
     # imaginary part is checked to be positive definite (Herglotz).
     cocycle = transfer_cocycle(strip, z)
-    puller = _pull_back if right else _push_forward
-    frame = _stabilized_frame(cocycle, theta, strip.width, puller)
+    frame = _stabilized_frame(cocycle, theta, strip.width, backward=right)
     coupling = -strip.coupling if right else strip.coupling
     value = coupling @ _graph_slope(frame)
     if np.imag(z) > 0:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_line, random_strip
 from qplattice.cocycle import (
+    ORBIT_CHUNK_ENTRIES,
     Cocycle,
     acceleration,
     companion_cocycle,
@@ -12,14 +13,32 @@ from qplattice.cocycle import (
     finite_window_rates,
     iterate,
     lyapunov_spectrum,
+    orbit_matrices,
     phase_lattice,
     rotation_number,
     top_lyapunov,
     transfer_cocycle,
     upper_lyapunov_sum,
 )
-from qplattice.linalg import ArgumentError
-from qplattice.operators import almost_mathieu, fold_to_strip, free_laplacian
+from qplattice.linalg import (
+    ArgumentError,
+    eigenvalues_banded,
+    orthonormal_columns,
+    principal_angles,
+)
+from qplattice.operators import (
+    GOLDEN_MEAN,
+    StripOperator,
+    almost_mathieu,
+    fold_to_strip,
+    free_laplacian,
+)
+from qplattice.splitting import (
+    _converged_frame,
+    _frames_at,
+    _neutral_growth,
+    detect_splitting,
+)
 
 # arccosh(3/2): top exponent of the free operator at energy 3
 FREE_TOP_AT_3 = 0.9624236501192069
@@ -179,3 +198,139 @@ def test_energy_monotonicity_sign_and_reference():
         assert abs(value.imag) < 1e-10 * max(1.0, abs(value))
         assert value.real < 0
         assert abs(value - reference) < 1e-10 * max(1.0, abs(reference))
+
+
+# ── the orbit kernel against the per-step loops it replaced ──────────────────
+#
+# The references below evaluate the cocycle once per step, as every orbit
+# loop did before the chunked kernel; the kernel must reproduce them.
+
+
+def reference_qr_engine(cocycle, phases, n_steps, top):
+    ns = len(phases)
+    d = cocycle.dim
+    q = np.broadcast_to(np.eye(d, dtype=complex)[:, :top], (ns, d, top)).copy()
+    acc = np.zeros((ns, top))
+    for s in range(n_steps):
+        mats = cocycle.matrices(phases + s * cocycle.alpha)
+        q = mats @ q
+        q, r = np.linalg.qr(q)
+        acc += np.log(np.abs(np.einsum("sii->si", r)))
+    return acc
+
+
+def reference_frame(cocycle, theta, n_window, n_cols, seed, backward):
+    rng = np.random.default_rng(seed)
+    dim = cocycle.dim
+    q = orthonormal_columns(
+        rng.standard_normal((dim, n_cols)) + 1j * rng.standard_normal((dim, n_cols))
+    )
+    if backward:
+        for j in range(n_window, 0, -1):
+            a = cocycle.matrix(theta + (j - 1) * cocycle.alpha)
+            q, _ = np.linalg.qr(np.linalg.solve(a, q))
+    else:
+        for j in range(-n_window, 0):
+            q, _ = np.linalg.qr(cocycle.matrix(theta + j * cocycle.alpha) @ q)
+    return q
+
+
+def reference_neutral_growth(cocycle, splitting, n_max, backward,
+                             rebase_every, fresh_window):
+    theta = splitting.theta
+    alpha = -cocycle.alpha if backward else cocycle.alpha
+    q = splitting.center
+    rprod = np.eye(splitting.dims[1], dtype=complex)
+    log_scale = 0.0
+    out = np.empty(n_max + 1)
+    out[0] = 1.0
+    for n in range(1, n_max + 1):
+        if backward:
+            step = np.linalg.solve(cocycle.matrix(theta + n * alpha), q)
+        else:
+            step = cocycle.matrix(theta + (n - 1) * alpha) @ q
+        q, r = np.linalg.qr(step)
+        rprod = r @ rprod
+        scale = np.linalg.norm(rprod)
+        log_scale += np.log(scale)
+        rprod = rprod / scale
+        log_norm = log_scale + np.log(np.linalg.norm(rprod, 2))
+        out[n] = max(out[n - 1], float(np.exp(2.0 * log_norm)))
+        if n % rebase_every == 0 or n == n_max:
+            _, fresh, _ = _frames_at(cocycle, theta + n * alpha, splitting.dims,
+                                     fresh_window)
+            rprod = (fresh.conj().T @ q) @ rprod
+            q = fresh
+    return out
+
+
+def chunk_edges(samples, dim):
+    chunk = ORBIT_CHUNK_ENTRIES // (samples * dim**2)
+    return (chunk - 1, chunk, chunk + 1, 2 * chunk + 1)
+
+
+@pytest.mark.parametrize("samples", [1, 32])
+def test_orbit_matrices_match_per_step_evaluation(samples):
+    cocycle = transfer_cocycle(random_strip(np.random.default_rng(51)), 0.4)
+    # one phase steps as scalars (the frame loops), many as a row each
+    start = 0.3 if samples == 1 else phase_lattice(samples)
+    for n_steps in chunk_edges(samples, cocycle.dim):
+        steps = np.arange(n_steps) if samples == 1 else np.arange(n_steps)[:, None]
+        orbit = start + cocycle.alpha * steps
+        mats = list(orbit_matrices(cocycle, orbit))
+        assert len(mats) == n_steps
+        for phase, a in zip(orbit, mats):
+            np.testing.assert_array_equal(a, cocycle.matrix(phase))
+
+
+def test_orbit_matrices_broadcast_a_phase_independent_map():
+    # a strip potential that ignores its phases yields one transfer matrix
+    strip = StripOperator(np.eye(2), lambda x: np.diag([3.0, 0.0]), alpha=GOLDEN_MEAN)
+    cocycle = transfer_cocycle(strip, 0.0)
+    orbit = phase_lattice(4) + cocycle.alpha * np.arange(3)[:, None]
+    mats = list(orbit_matrices(cocycle, orbit))
+    assert len(mats) == 3
+    for a in mats:
+        np.testing.assert_array_equal(a, np.broadcast_to(cocycle.matrix(0.0), (4, 4, 4)))
+
+
+def test_lyapunov_spectrum_matches_per_step_engine():
+    cocycle = transfer_cocycle(random_strip(np.random.default_rng(52)), 0.2)
+    assert cocycle.dim == 6
+    for phases in (np.array([0.3]), phase_lattice(32)):
+        for n_steps in chunk_edges(len(phases), cocycle.dim):
+            est = lyapunov_spectrum(cocycle, n_steps, phases=phases)
+            reference = reference_qr_engine(cocycle, phases, n_steps, cocycle.dim)
+            np.testing.assert_array_equal(est.per_sample, reference / n_steps)
+
+
+def test_converged_frames_match_per_step_loops():
+    strip = random_strip(np.random.default_rng(53), k_max=2)
+    # off the spectrum every exponent is nonzero, so both frames attract
+    cocycle = transfer_cocycle(strip, strip.norm_bound() + 1.0)
+    n_window = chunk_edges(1, cocycle.dim)[-1]
+    for backward in (False, True):
+        frame = _converged_frame(cocycle, 0.37, n_window, 2, seed=3,
+                                 backward=backward)
+        reference = reference_frame(cocycle, 0.37, n_window, 2, seed=3,
+                                    backward=backward)
+        assert principal_angles(frame, reference).max() < 1e-12
+
+
+def test_neutral_growth_matches_per_step_loop_on_mixed_splitting():
+    line = random_line(np.random.default_rng(0), 2)
+    energy = np.sort(eigenvalues_banded(line.assemble_banded(400)))[200]
+    cocycle = transfer_cocycle(fold_to_strip(line), energy)
+    split = detect_splitting(cocycle, 0.0)
+    assert split.dims == (1, 2, 1)
+    # the rebasing schedule of _neutral_growth on a mixed splitting
+    spread = float(split.rates[0] - split.rates[-1])
+    rebase_every = int(np.clip(8.0 / max(spread, 1e-2), 1, 256))
+    gap_rate = float(np.log(min(split.certificates)))
+    fresh_window = int(np.clip(40.0 / max(gap_rate, 1e-6), 16, split.window))
+    n_max = 5 * rebase_every + 3
+    for backward in (False, True):
+        values = _neutral_growth(cocycle, split, n_max, backward)
+        reference = reference_neutral_growth(cocycle, split, n_max, backward,
+                                             rebase_every, fresh_window)
+        np.testing.assert_allclose(values, reference, rtol=1e-10, atol=0)

@@ -88,6 +88,7 @@ def test_strip_table_matches_unfolded_line():
         from_line = ids(line, grid, n_sites=128 * k_width, samples=8)
         from_strip = ids(strip, grid, n_sites=128, samples=8)
         np.testing.assert_array_equal(from_strip.values, from_line.values)
+        assert from_strip.resolution() == from_line.resolution()
         assert np.all(np.diff(from_strip.values) >= 0)
         assert from_strip.values.min() >= 0.0 and from_strip.values.max() <= 1.0
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_line
+from conftest import random_line, random_strip
 from qplattice.linalg import ArgumentError
 from qplattice.operators import (
     GOLDEN_MEAN,
@@ -116,6 +116,24 @@ def test_fold_preserves_spectrum():
     strip_eigs = np.linalg.eigvalsh(strip.assemble(blocks, first_block=0))
     np.testing.assert_allclose(np.sort(strip_eigs), np.sort(line_eigs),
                                atol=1e-10)
+
+
+def test_strip_assemble_is_block_tridiagonal():
+    rng = np.random.default_rng(24)
+    for k_width in (1, 2, 3, 5):
+        strip = random_strip(rng, k_max=k_width)
+        m = strip.width
+        for n_blocks in (1, 2, 7):
+            v = strip.blocks(np.arange(-3, -3 + n_blocks))
+            h = np.zeros((m * n_blocks, m * n_blocks), dtype=complex)
+            for b in range(n_blocks):
+                here = slice(b * m, (b + 1) * m)
+                h[here, here] = v[b]
+                if b + 1 < n_blocks:
+                    there = slice((b + 1) * m, (b + 2) * m)
+                    h[here, there] = strip.coupling
+                    h[there, here] = strip.coupling.conj().T
+            np.testing.assert_array_equal(strip.assemble(n_blocks, -3), h)
 
 
 def test_fold_vector_round_trip():

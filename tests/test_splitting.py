@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from conftest import random_hermitian, random_strip
 from qplattice.cocycle import transfer_cocycle
+from qplattice.corpus import spectrum_sample
 from qplattice.linalg import ArgumentError, ConvergenceError, InvariantError
 from qplattice.operators import GOLDEN_MEAN, StripOperator, almost_mathieu, \
     fold_to_strip, free_laplacian
@@ -234,6 +235,19 @@ def test_center_variation_free_band_center():
     zero_shift = report.growth[0.0]
     for n, val in zero_shift.items():
         assert val**2 <= report.envelope[n] * (1 + 1e-10)
+
+
+def test_center_variation_growth_constant_ignores_grid_order():
+    # every shifted record is fitted against the real-energy envelope,
+    # wherever the zero shift sits in the grid and whether it is there
+    op = almost_mathieu(0.5)
+    strip = fold_to_strip(op)
+    energy = spectrum_sample(op, 8)[4]
+    constants = [
+        center_variation_check(strip, energy, eps_grid=grid, n_max=256).c_growth
+        for grid in ((0.0, 1e-4, 1e-3), (1e-4, 0.0, 1e-3), (1e-4, 1e-3))
+    ]
+    assert constants[0] == constants[1] == constants[2]
 
 
 def test_center_variation_needs_neutral_frame():
