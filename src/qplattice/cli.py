@@ -399,6 +399,8 @@ def _cmd_duality(cfg, args):
     x = float(cfg.get("x", 0.0))
     truncation = int(cfg.get("truncation", 2001))
     window = int(cfg.get("window", 512))
+    if window < op.hopping.range:
+        raise ArgumentError("window must reach the hopping range")
     if truncation < 2 * window + 1:
         raise ArgumentError("truncation must cover the output window")
     dual = replace(dual_operator(op), theta=x)

@@ -50,16 +50,13 @@ class Cocycle:
 
     ``matrix_fn`` maps an array of phases to a stack of d x d matrices
     (shape ``(..., d, d)``).  ``form`` optionally carries the skew-Hermitian
-    pairing matrix the map preserves at real phases; ``form_period`` says
-    after how many steps the products preserve it (1 for genuine
-    form-preserving maps, K for companion forms of range-K operators).
+    pairing matrix the map preserves at real phases.
     """
 
     alpha: float
     matrix_fn: object
     dim: int
     form: np.ndarray = None
-    form_period: int = 1
 
     def matrices(self, phases):
         return np.asarray(self.matrix_fn(np.asarray(phases)))
@@ -138,7 +135,7 @@ def companion_cocycle(line_op, energy):
     form = None
     if k == 1:
         form = pairing_matrix(np.array([[wk]]))
-    return Cocycle(line_op.alpha, matrix_fn, 2 * k, form=form, form_period=k)
+    return Cocycle(line_op.alpha, matrix_fn, 2 * k, form=form)
 
 
 # ── products ─────────────────────────────────────────────────────────────────
@@ -187,6 +184,8 @@ def _qr_engine(cocycle, phases, n_steps, top):
     phases = np.atleast_1d(np.asarray(phases, dtype=complex)
                            if np.iscomplexobj(phases) else np.asarray(phases, dtype=float))
     ns = len(phases)
+    if n_steps < 1 or ns == 0:
+        raise ArgumentError("QR evolution needs at least one step and one phase")
     d = cocycle.dim
     q = np.broadcast_to(np.eye(d, dtype=complex)[:, :top], (ns, d, top)).copy()
     acc = np.zeros((ns, top))

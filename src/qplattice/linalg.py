@@ -113,7 +113,9 @@ def nearest_eigenpair(ab_upper, sigma, tol=1e-10, max_iter=60):
 
     Rayleigh-quotient iteration seeded with an inverse-iteration step; each
     step is a banded shifted solve, so the cost stays linear in the matrix
-    size.  Returns ``(eigenvalue, eigenvector)``.
+    size.  Bisection (Sturm counts) certifies the result: when an eigenvalue
+    lies strictly closer to ``sigma``, the iteration restarts from the
+    nearest one.  Returns ``(eigenvalue, eigenvector)``.
     """
     ab_upper = np.asarray(ab_upper)
     n = ab_upper.shape[1]
@@ -133,7 +135,16 @@ def nearest_eigenpair(ab_upper, sigma, tol=1e-10, max_iter=60):
         lam = float(np.real(np.vdot(x, hx)))
         res = np.linalg.norm(hx - lam * x)
         if res <= tol * max(1.0, abs(lam)):
-            return lam, x
+            d = abs(lam - sigma) - 2 * tol * max(1.0, abs(lam))
+            closer = sla.eig_banded(ab_upper, lower=False, eigvals_only=True, select="v",
+                                    select_range=(sigma - d, sigma + d)) if d > 0 else []
+            if not len(closer):
+                return lam, x
+            # restart from a fresh vector: a localized x can miss the nearer
+            # eigenvector to machine precision
+            lam = sigma = float(closer[np.argmin(np.abs(closer - sigma))])
+            x = rng.standard_normal(n)
+            x /= np.linalg.norm(x)
         shift = lam
     raise ConvergenceError(
         "Rayleigh iteration stalled near shift %.6g (residual %.3e)" % (sigma, res)

@@ -27,6 +27,14 @@ def _window_first(values, first_site):
     return values, int(first_site)
 
 
+def _running_sums(values, center, r_max):
+    # Window sums sum_{|n| <= r} values[center + n] for r = 1 .. r_max,
+    # accumulated outward one radius at a time.  Totals over the radii are
+    # taken with np.cumsum too: np.sum adds pairwise and changes the last bits.
+    pairs = values[center + 1 : center + r_max + 1] + values[center - r_max : center][::-1]
+    return np.cumsum(np.concatenate((values[center : center + 1], pairs)))[1:]
+
+
 def lagrange_form(op, f, g, radius, first_site=None):
     """Boundary pairing sum_{|n| <= radius} (Hf)_n conj(g_n) - f_n conj((Hg)_n).
 
@@ -68,6 +76,8 @@ def lagrange_sum_bounds(op, f, g, r_max, first_site=None):
     if np.max(np.abs(g)) > 1.0 + 1e-12:
         raise ArgumentError("second sequence must have sup norm at most one")
     k = op.hopping.range
+    if r_max < 1:
+        raise ArgumentError("radius must be at least one")
     if -(r_max + k) < first or r_max + k >= first + f.size:
         raise ArgumentError("window too short for radius %d" % r_max)
 
@@ -75,12 +85,7 @@ def lagrange_sum_bounds(op, f, g, r_max, first_site=None):
     hg = op.apply(g, first_site=first)
     density = hf * np.conj(g) - f * np.conj(hg)
     center = -first
-    total = 0.0 + 0.0j
-    running = density[center]
-    for r in range(1, r_max + 1):
-        running += density[center + r] + density[center - r]
-        total += running
-    lhs = float(np.abs(total))
+    lhs = float(np.abs(np.cumsum(_running_sums(density, center, r_max))[-1]))
 
     weights = sum(4.0 * kk * abs(op.hopping.coefficient(kk)) for kk in range(1, k + 1))
     lo = max(0, center - (r_max + k))
@@ -156,6 +161,8 @@ def subordinacy_probe(op, energy, u, phi=None, r_grid=(256, 512, 1024, 2048, 409
     r_grid = tuple(int(r) for r in sorted(r_grid))
     r_max = max(r_grid)
     k = op.hopping.range
+    if min(r_grid) < 1:
+        raise ArgumentError("radii must be at least one")
     if np.max(np.abs(u)) > 1.0 + 1e-12:
         raise ArgumentError("candidate solution must have sup norm at most one")
     if -(2 * r_max + k) < first or 2 * r_max + k >= first + u.size:
@@ -200,21 +207,12 @@ def subordinacy_probe(op, energy, u, phi=None, r_grid=(256, 512, 1024, 2048, 409
                 % (r, identity_lhs, eps * mass)
             )
 
-        base = phi_w * np.conj(u_w)
-        cross = v * np.conj(u_w)
         center = -w_first
-        total = 0.0 + 0.0j
-        base_total = 0.0 + 0.0j
-        run_b = base[center]
-        run_c = cross[center]
-        for rr in range(1, r + 1):
-            run_b += base[center + rr] + base[center - rr]
-            run_c += cross[center + rr] + cross[center - rr]
-            base_total += run_b
-            total += run_b + 1j * eps * run_c
-        w_total = float(np.abs(total))
+        run_b = _running_sums(phi_w * np.conj(u_w), center, r)
+        run_c = _running_sums(v * np.conj(u_w), center, r)
+        w_total = float(np.abs(np.cumsum(run_b + 1j * eps * run_c)[-1]))
         lower = float(
-            np.abs(base_total)
+            np.abs(np.cumsum(run_b)[-1])
             - eps * r * np.linalg.norm(v) * np.linalg.norm(u_w)
         )
         _, window_bound, tail_bound = lagrange_sum_bounds(

@@ -69,6 +69,8 @@ def ids(op, energies, n_sites=DEFAULT_TRUNCATION, samples=DEFAULT_THETA_SAMPLES)
     energies = np.asarray(energies, dtype=float)
     if energies.size < 2:
         raise ArgumentError("need at least two grid energies")
+    if samples < 1:
+        raise ArgumentError("need at least one phase sample")
     values = np.zeros(energies.size)
     for theta in phase_lattice(samples):
         ab = replace(op, theta=theta).assemble_banded(n_sites)

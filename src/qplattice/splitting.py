@@ -20,7 +20,7 @@ from .linalg import (
     restriction_norm,
 )
 from .symplectic import form_defect, reverse_norm_constant
-from .cocycle import finite_window_rates, transport
+from .cocycle import finite_window_rates, transfer_cocycle, transport
 
 DEFAULT_WINDOW = 128
 GAP_THRESHOLD = 1.01
@@ -86,19 +86,12 @@ def _converged_frame(cocycle, theta, n_window, n_cols, seed, backward):
 def _intersect_frames(fa, fb):
     # Common directions of two subspaces, as an orthonormal frame.
     coeff = sla.null_space(np.hstack([fa, -fb]))
-    if coeff.shape[1] == 0:
-        return _empty_frame(fa.shape[0])
     return orthonormal_columns(fa @ coeff[: fa.shape[1]])
 
 
 def _subspace_gap(fa, fb):
-    # sin of the largest principal angle between equal-rank frames.
-    if fa.shape[1] != fb.shape[1]:
-        return 1.0
-    if fa.shape[1] == 0:
-        return 0.0
-    angles = principal_angles(fa, fb)
-    return float(np.sin(angles[-1]))
+    # sin of the largest principal angle between nonempty equal-rank frames.
+    return float(np.sin(principal_angles(fa, fb)[-1]))
 
 
 def _center_complement(cocycle, theta, fast, slow, d_center):
@@ -187,7 +180,14 @@ def compute_splitting(cocycle, theta, dims, n_window=DEFAULT_WINDOW):
     if d_u < 0 or d_c < 0 or d_u + d_c + d_s != dim:
         raise ArgumentError("splitting dims %r incompatible with dimension %d" % (dims, dim))
 
-    rates = finite_window_rates(cocycle, theta, n_window)
+    return _certified_splitting(cocycle, theta, (d_u, d_c, d_s), n_window,
+                                finite_window_rates(cocycle, theta, n_window))
+
+
+def _certified_splitting(cocycle, theta, dims, n_window, rates):
+    # Gap certificates read off the rates, then frames and invariance check.
+    d_u, d_c, _ = dims
+    dim = cocycle.dim
     split_indices = sorted({d_u, d_u + d_c} - {0, dim})
     certificates = []
     for idx in split_indices:
@@ -222,7 +222,7 @@ def compute_splitting(cocycle, theta, dims, n_window=DEFAULT_WINDOW):
 
     return Splitting(
         theta=float(theta),
-        dims=(d_u, d_c, d_s),
+        dims=dims,
         unstable=fast,
         center=center,
         stable=slow,
@@ -234,13 +234,14 @@ def compute_splitting(cocycle, theta, dims, n_window=DEFAULT_WINDOW):
 
 def detect_splitting(cocycle, theta=0.0, n_window=DEFAULT_WINDOW):
     """Find the finest certified splitting, trying neutral dimensions in
-    increasing order and returning the first that certifies."""
+    increasing order and returning the first that certifies.  Every
+    candidate is read off the growth rates of one window."""
     dim = cocycle.dim
-    first = dim % 2
-    for d_c in range(first, dim + 1, 2):
+    rates = finite_window_rates(cocycle, theta, n_window)
+    for d_c in range(dim % 2, dim + 1, 2):
         h = (dim - d_c) // 2
         try:
-            return compute_splitting(cocycle, theta, (h, d_c, h), n_window)
+            return _certified_splitting(cocycle, theta, (h, d_c, h), n_window, rates)
         except ConvergenceError:
             continue
     raise ConvergenceError("no dominated splitting certified at any dims")
@@ -249,40 +250,36 @@ def detect_splitting(cocycle, theta=0.0, n_window=DEFAULT_WINDOW):
 # ── vertical angles and critical phases ──────────────────────────────────────
 
 
+def _axis_angle(frame, bottom):
+    # Angle to the bottom (or top) half of the doubled space; a splitting
+    # stands for its contracting (or expanding) frame.
+    if isinstance(frame, Splitting):
+        frame = frame.stable if bottom else frame.unstable
+    dim = frame.shape[0]
+    if dim % 2:
+        raise ArgumentError("frame ambient dimension must be even")
+    if frame.shape[1] == 0:
+        return float(np.pi / 2)
+    m = dim // 2
+    axis = np.zeros((dim, m), dtype=complex)
+    axis[slice(m, None) if bottom else slice(None, m)] = np.eye(m)
+    return float(principal_angles(frame, axis)[0])
+
+
 def vertical_angle(frame):
     """Smallest principal angle between a frame and the vertical
     subspace {0} x C^m of the doubled space; an empty frame is reported
     as pi/2 (nowhere near vertical).  Passing a whole splitting measures
     its contracting frame, the one whose vertical collision marks a
     half-line eigenvalue."""
-    if isinstance(frame, Splitting):
-        frame = frame.stable
-    dim = frame.shape[0]
-    if dim % 2:
-        raise ArgumentError("frame ambient dimension must be even")
-    if frame.shape[1] == 0:
-        return float(np.pi / 2)
-    m = dim // 2
-    vertical = np.zeros((dim, m), dtype=complex)
-    vertical[m:, :] = np.eye(m)
-    return float(principal_angles(frame, vertical)[0])
+    return _axis_angle(frame, bottom=True)
 
 
 def horizontal_angle(frame):
     """Smallest principal angle against C^m x {0}, the image of the
     vertical under the boundary-inverting flip.  Passing a whole
     splitting measures its expanding frame."""
-    if isinstance(frame, Splitting):
-        frame = frame.unstable
-    dim = frame.shape[0]
-    if dim % 2:
-        raise ArgumentError("frame ambient dimension must be even")
-    if frame.shape[1] == 0:
-        return float(np.pi / 2)
-    m = dim // 2
-    horizontal = np.zeros((dim, m), dtype=complex)
-    horizontal[:m, :] = np.eye(m)
-    return float(principal_angles(frame, horizontal)[0])
+    return _axis_angle(frame, bottom=False)
 
 
 def critical_set_test(splitting, floor=1e-2):
@@ -516,25 +513,19 @@ def _fit_growth_constant(records):
     return float(worst)
 
 
-def center_variation_check(
-    strip,
-    energy,
-    theta=0.0,
-    eps_grid=(0.0, 1e-5, 1e-4, 1e-3),
-    n_max=1024,
-    dims=None,
-    n_window=DEFAULT_WINDOW,
-    checkpoints=None,
-):
+def center_variation_check(strip, energy, theta=0.0,
+                           eps_grid=(0.0, 1e-5, 1e-4, 1e-3), n_max=1024):
     """Track the neutral-frame growth of the energy-complexified cocycle.
 
     For each imaginary shift eps, the complexified fiber matrices are
     projected back onto the real-energy neutral frame along the
     expanding/contracting ones, and the resulting restricted products
     are compared against the envelope c * C(n) * exp(c * C(n) * eps * n),
-    where C(n) is the real-energy growth sequence.  The smallest working
-    constant is fitted by bisection and reported, together with per-eps
-    Lipschitz ratios of the projected one-step matrices.
+    where C(n) is the real-energy growth sequence.  The products are
+    read at the doubling checkpoints 1, 2, 4, ... up to n_max.  The
+    smallest working constant is fitted by bisection and reported,
+    together with per-eps Lipschitz ratios of the projected one-step
+    matrices.
 
     Raises
     ------
@@ -542,50 +533,46 @@ def center_variation_check(
         If the projection between the neutral frames becomes
         ill-conditioned.
     """
-    from .cocycle import transfer_cocycle
-
     base = transfer_cocycle(strip, energy)
-    if dims is None:
-        dims = detect_splitting(base, theta, n_window).dims
+    splitting = detect_splitting(base, theta)
+    dims = splitting.dims
     d_c = dims[1]
     if d_c == 0:
         raise ArgumentError("no neutral directions at this energy")
-    dim = base.dim
     alpha = base.alpha
-    if checkpoints is None:
-        checkpoints = [1]
-        while checkpoints[-1] < n_max:
-            checkpoints.append(min(2 * checkpoints[-1], n_max))
-    checkpoints = sorted(set(int(n) for n in checkpoints))
+    checkpoints = [1]
+    while checkpoints[-1] < n_max:
+        checkpoints.append(min(2 * checkpoints[-1], n_max))
 
-    def frames_and_projector(phase):
-        s = compute_splitting(base, phase, dims, n_window)
+    def frames_and_projector(s):
         joint = np.hstack([s.center, s.unstable, s.stable])
         if np.linalg.cond(joint) > PROJECTION_COND_MAX:
-            raise ConvergenceError("projection ill-conditioned at phase %.6f" % phase)
+            raise ConvergenceError("projection ill-conditioned at phase %.6f" % s.theta)
         proj = joint[:, :d_c] @ np.linalg.inv(joint)[:d_c, :]
         return s.center, proj
 
-    stations = {0: frames_and_projector(theta)}
+    def station(phase):
+        return frames_and_projector(compute_splitting(base, phase, dims))
+
+    stations = {0: frames_and_projector(splitting)}
     for n in checkpoints:
-        stations[n] = frames_and_projector(theta + n * alpha)
-    envelope = center_growth(
-        base, compute_splitting(base, theta, dims, n_window), max(checkpoints)
-    )
+        stations[n] = station(theta + n * alpha)
+    envelope = center_growth(base, splitting, checkpoints[-1])
+
+    # The Lipschitz probe's real-energy frames do not depend on eps.
+    phases_lip = theta + alpha * (np.arange(8) + 0.5) / 8.0
+    if any(eps_grid):
+        lip_frames = [(station(phase + alpha), station(phase)[0]) for phase in phases_lip]
 
     growth = {}
     records = []
     lipschitz = {}
     qc0, _ = stations[0]
-    orbit = theta + alpha * np.arange(max(checkpoints))
-    phases_lip = theta + alpha * (np.arange(8) + 0.5) / 8.0
+    orbit = theta + alpha * np.arange(checkpoints[-1])
 
     for eps in eps_grid:
         shifted = transfer_cocycle(strip, energy + 1j * eps) if eps else base
-        s_eps = (
-            compute_splitting(shifted, theta, dims, n_window) if eps else None
-        )
-        qc_eps = s_eps.center if eps else qc0
+        qc_eps = compute_splitting(shifted, theta, dims).center if eps else qc0
         p_mat = qc0.conj().T @ stations[0][1] @ qc_eps
         if np.linalg.cond(p_mat) > PROJECTION_COND_MAX:
             raise ConvergenceError("projection ill-conditioned at the base phase")
@@ -615,11 +602,9 @@ def center_variation_check(
             for n, val in values.items():
                 records.append((val, envelope[n], eps, n))
             drifts = []
-            for phase, step_shift, step_base in zip(
-                phases_lip, shifted.matrices(phases_lip), base.matrices(phases_lip)
+            for ((qc_a, proj_a), qc_b), step_shift, step_base in zip(
+                lip_frames, shifted.matrices(phases_lip), base.matrices(phases_lip)
             ):
-                qc_a, proj_a = frames_and_projector(phase + alpha)
-                qc_b, _ = frames_and_projector(phase)
                 a_shift = qc_a.conj().T @ proj_a @ step_shift @ qc_b
                 a_base = qc_a.conj().T @ step_base @ qc_b
                 drifts.append(np.linalg.norm(a_shift - a_base, 2) / eps)
@@ -631,7 +616,7 @@ def center_variation_check(
     return CenterVariationReport(
         energy=float(np.real(energy)),
         theta=float(theta),
-        dims=tuple(dims),
+        dims=dims,
         eps_grid=tuple(eps_grid),
         checkpoints=tuple(checkpoints),
         growth=growth,

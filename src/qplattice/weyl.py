@@ -266,9 +266,8 @@ def spectral_bound(strip, energy, eps_grid=None, theta=0.0, dims=None,
         raise ArgumentError("imaginary offsets must be positive")
 
     base = transfer_cocycle(strip, energy)
-    if dims is None:
-        dims = detect_splitting(base, theta, n_window).dims
-    splitting = compute_splitting(base, theta, dims, n_window)
+    splitting = (detect_splitting(base, theta, n_window) if dims is None
+                 else compute_splitting(base, theta, dims, n_window))
     if not critical_set_test(splitting):
         raise ArgumentError(
             "spectral bound not applicable: critical energy "
@@ -313,7 +312,7 @@ def spectral_bound(strip, energy, eps_grid=None, theta=0.0, dims=None,
     return SpectralBoundReport(
         energy=float(energy),
         theta=float(theta),
-        dims=tuple(dims),
+        dims=splitting.dims,
         eps_grid=eps_grid,
         trace_im=trace_im,
         mu_bound=mu_bound,

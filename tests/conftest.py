@@ -5,8 +5,10 @@ its seed and the suite stays order-independent.
 """
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
+from qplattice import splitting
 from qplattice.operators import (
     GOLDEN_MEAN,
     Hopping,
@@ -60,3 +62,18 @@ def random_form_preserving(rng, coupling, scale=0.5):
     s = pairing_matrix(coupling)
     h = scale * random_hermitian(rng, s.shape[0])
     return expm(np.linalg.solve(s, h))
+
+
+@pytest.fixture
+def rate_windows(monkeypatch):
+    """Arguments of every finite_window_rates call the splitting module
+    makes during the test: one entry per converged rate window."""
+    calls = []
+    real = splitting.finite_window_rates
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(splitting, "finite_window_rates", counted)
+    return calls

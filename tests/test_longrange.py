@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from qplattice.linalg import ArgumentError, nearest_eigenpair
+from qplattice.linalg import ArgumentError, banded_matmul, eigenvalues_banded, \
+    nearest_eigenpair
 from qplattice.longrange import (
+    _running_sums,
     duality_transform,
     lagrange_form,
     lagrange_sum_bounds,
@@ -74,6 +76,23 @@ def test_radius_summed_bounds_dominate():
         lagrange_sum_bounds(FREE, decaying, 3.0 * orbit, 30)
 
 
+def test_radius_sums_match_the_outward_loop():
+    # reference: the running window sums accumulated one radius at a time
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        r_max = int(rng.integers(1, 40))
+        center = r_max + int(rng.integers(0, 3))
+        values = rng.normal(size=2 * center + 3) + 1j * rng.normal(size=2 * center + 3)
+        total = 0.0 + 0.0j
+        running = values[center]
+        for r in range(1, r_max + 1):
+            running += values[center + r] + values[center - r]
+            total += running
+        assert np.cumsum(_running_sums(values, center, r_max))[-1] == total
+    with pytest.raises(ArgumentError, match="at least one"):
+        lagrange_sum_bounds(FREE, COS_HALF, COS_HALF, 0)
+
+
 # ── subordinacy chain ────────────────────────────────────────────────────────
 
 def test_subordinacy_chain_free_center():
@@ -120,6 +139,20 @@ def test_duality_turns_dual_eigenvectors_into_solutions():
     hu = op.apply(u, first_site=-512)
     residual = float(np.max(np.abs(hu - value * u)[1:-1]))
     assert residual < 1e-8
+
+
+def test_nearest_eigenpair_is_the_nearest():
+    # Rayleigh iteration alone often settles on a farther eigenvalue
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        op = almost_mathieu(rng.uniform(0.3, 0.9), theta=rng.uniform())
+        ab = replace(dual_operator(op), theta=0.0).assemble_banded(400)
+        eigs = eigenvalues_banded(ab)
+        for sigma in rng.uniform(-2.5, 2.5, 20):
+            value, vector = nearest_eigenpair(ab, sigma)
+            assert abs(value - eigs[np.argmin(np.abs(eigs - sigma))]) < 1e-9
+            np.testing.assert_allclose(banded_matmul(ab, vector), value * vector,
+                                       atol=1e-8)
 
 
 def test_duality_profile_sampling():

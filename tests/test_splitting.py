@@ -1,13 +1,16 @@
 """Dominated splittings, neutral growth, telescoping and variation bounds."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_hermitian, random_strip
+from conftest import random_hermitian, random_line, random_strip
 from qplattice.cocycle import transfer_cocycle
 from qplattice.corpus import spectrum_sample
-from qplattice.linalg import ArgumentError, ConvergenceError, InvariantError
+from qplattice.linalg import ArgumentError, ConvergenceError, InvariantError, \
+    eigenvalues_banded
 from qplattice.operators import GOLDEN_MEAN, StripOperator, almost_mathieu, \
     fold_to_strip, free_laplacian
 from qplattice.splitting import (
@@ -37,6 +40,12 @@ def rotation(phi):
     return np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
 
 
+def constant_strip():
+    # constant blocks: one expanding, two neutral, one contracting direction
+    return StripOperator(np.eye(2), lambda x: np.diag([3.0, 0.0]) + 0 * np.asarray(x)[..., None, None],
+                         alpha=GOLDEN_MEAN)
+
+
 # ── computing splittings ─────────────────────────────────────────────────────
 
 def test_hyperbolic_free_splitting():
@@ -64,12 +73,30 @@ def test_detect_splitting_picks_smallest_center():
 
 
 def test_three_way_splitting_constant_strip():
-    # constant blocks: one expanding, two neutral, one contracting direction
-    strip = StripOperator(np.eye(2), lambda x: np.diag([3.0, 0.0]) + 0 * np.asarray(x)[..., None, None],
-                          alpha=GOLDEN_MEAN)
-    split = detect_splitting(transfer_cocycle(strip, 0.0), 0.0)
+    split = detect_splitting(transfer_cocycle(constant_strip(), 0.0), 0.0)
     assert split.dims == (1, 2, 1)
     assert all(c > 1.01 for c in split.certificates)
+
+
+def test_detect_splitting_reads_one_rate_window(rate_windows):
+    line = random_line(np.random.default_rng(0), 2)
+    in_spectrum = np.sort(eigenvalues_banded(line.assemble_banded(400)))[200]
+    cases = [
+        (free_cocycle(3.0), (1, 0, 1)),
+        (free_cocycle(0.0), (0, 2, 0)),
+        (transfer_cocycle(constant_strip(), 0.0), (1, 2, 1)),
+        (transfer_cocycle(fold_to_strip(line), in_spectrum), (1, 2, 1)),
+    ]
+    for cocycle, dims in cases:
+        rate_windows.clear()
+        split = detect_splitting(cocycle, 0.0)
+        assert len(rate_windows) == 1
+        assert split.dims == dims
+        # the same splitting compute_splitting converges at the detected dims
+        reference = compute_splitting(cocycle, 0.0, dims)
+        for field in fields(split):
+            np.testing.assert_array_equal(getattr(split, field.name),
+                                          getattr(reference, field.name))
 
 
 def test_splitting_frames_are_invariant():
@@ -248,6 +275,17 @@ def test_center_variation_growth_constant_ignores_grid_order():
         for grid in ((0.0, 1e-4, 1e-3), (1e-4, 0.0, 1e-3), (1e-4, 1e-3))
     ]
     assert constants[0] == constants[1] == constants[2]
+
+
+def test_center_variation_converges_each_splitting_once(rate_windows):
+    # the detected splitting is station 0 and feeds the envelope; the 16
+    # Lipschitz-probe splittings are converged once, not once per eps:
+    # 1 detected + 9 checkpoints + 16 probe + 2 shifted
+    op = almost_mathieu(0.5)
+    report = center_variation_check(fold_to_strip(op), spectrum_sample(op, 8)[4],
+                                    eps_grid=(0.0, 1e-4, 1e-3), n_max=256)
+    assert report.checkpoints == (1, 2, 4, 8, 16, 32, 64, 128, 256)
+    assert len(rate_windows) == 28
 
 
 def test_center_variation_needs_neutral_frame():

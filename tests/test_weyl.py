@@ -137,6 +137,12 @@ def test_spectral_bound_mixed_splitting_stays_finite():
     assert np.all(report.criterion_lhs >= report.criterion_rhs * (1 - 1e-9))
 
 
+def test_spectral_bound_converges_one_splitting(rate_windows):
+    report = spectral_bound(FREE, 0.0, eps_grid=(1e-1, 3e-2))
+    assert report.dims == (0, 2, 0)
+    assert len(rate_windows) == 1
+
+
 def test_spectral_bound_needs_neutral_energy():
     with pytest.raises(ArgumentError):
         spectral_bound(FREE, 3.0, eps_grid=(1e-1,))
