@@ -8,8 +8,9 @@ grid points over a process pool and the rows come back keyed by grid
 index, so serial and parallel runs emit identical bytes.
 
 Exit codes: 0 success, 1 config error, 2 numerical non-convergence on
-some grid point, 3 invariant failure.  Failed grid points are kept in
-the CSV as ``nan`` rows with the message in a trailing ``error`` column.
+some grid point (or a duality transform that solves nothing), 3
+invariant failure.  Failed grid points are kept in the CSV as ``nan``
+rows with the message in a trailing ``error`` column.
 """
 
 import argparse
@@ -55,6 +56,8 @@ from .longrange import subordinacy_probe, duality_transform
 from .corpus import cosine_root_state, run_corpus
 
 DEFAULT_RADII = (256, 512, 1024, 2048, 4096)
+# a duality transform whose residual exceeds this solves nothing
+DUALITY_RESIDUAL_TOL = 1e-6
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOCONV = 2
@@ -218,11 +221,20 @@ def _run_grid(row, tasks, jobs, not_converged=_NOT_CONVERGED):
 # ── grid rows (module level: they must survive pickling) ─────────────────────
 
 
+def _orbit_counts(cfg):
+    """Orbit steps and phase samples of a QR sweep; a count below one is a
+    config error, not a failed row."""
+    steps = int(cfg.get("steps", 10000))
+    samples = int(cfg.get("samples", DEFAULT_SAMPLES))
+    if steps < 1 or samples < 1:
+        raise ArgumentError("steps and samples must be at least one")
+    return steps, samples
+
+
 def _lyapunov_row(cfg, energy):
+    steps, samples = _orbit_counts(cfg)
     est = lyapunov_spectrum(
-        transfer_cocycle(_strip_from(cfg), energy),
-        int(cfg.get("steps", 10000)),
-        samples=int(cfg.get("samples", DEFAULT_SAMPLES)),
+        transfer_cocycle(_strip_from(cfg), energy), steps, samples=samples
     )
     return [energy] + [float(x) for x in est.exponents] + [est.spread]
 
@@ -247,11 +259,9 @@ def _splitting_row(cfg, energy):
 
 def _thouless_row(cfg, table, energy):
     op = _line_from(cfg)
+    steps, samples = _orbit_counts(cfg)
     lyap = upper_lyapunov_sum(
-        companion_cocycle(op, energy),
-        op.hopping.range,
-        int(cfg.get("steps", 10000)),
-        samples=int(cfg.get("samples", DEFAULT_SAMPLES)),
+        companion_cocycle(op, energy), op.hopping.range, steps, samples=samples
     )[0]
     return [energy, lyap, thouless_residual(op, energy, table, lyap)]
 
@@ -261,6 +271,7 @@ def _thouless_row(cfg, table, energy):
 
 def _cmd_lyapunov(cfg, args):
     strip = _strip_from(cfg)  # validate once before forking
+    _orbit_counts(cfg)
     energies = _parse_grid(cfg.get("grid"))
     rows, errors, code = _run_grid(_lyapunov_row, [(cfg, e) for e in energies],
                                    args.jobs)
@@ -333,6 +344,8 @@ def _cmd_splitting(cfg, args):
 
 def _cmd_thouless(cfg, args):
     op = _line_from(cfg)
+    # a bad count is a config error here; inside a row it would fail the row
+    _orbit_counts(cfg)
     energies = _parse_grid(cfg.get("grid"))
     ids_block = cfg.get("ids", {})
     if "values" in ids_block or "count" in ids_block:
@@ -433,7 +446,7 @@ def _cmd_duality(cfg, args):
     }
     path = _write_json(_out_path(args, "duality.json"), payload, cfg, args)
     print("wrote %s (dual energy %.12g, residual %.3e)" % (path, value, residual))
-    return EXIT_OK
+    return EXIT_OK if residual <= DUALITY_RESIDUAL_TOL else EXIT_NOCONV
 
 
 def _cmd_verify(cfg, args):

@@ -38,6 +38,17 @@ DEFAULT_SAMPLES = 32
 # overhead without letting a chunk add to a run's peak memory.
 ORBIT_CHUNK_ENTRIES = 2 ** 13
 
+# A cached block product carries a frame only when every diagonal entry of
+# the QR factor of its image is at least 1 / KAPPA; the block's Frobenius
+# norm is one, so the image then keeps a relative accuracy of about KAPPA
+# times the rounding unit (CHANGES.md records the error against KAPPA).
+KAPPA = 1e3
+
+# Block length, in steps, from which `_window_frames` keeps its products;
+# the finer products of a block that fails its certificate are rebuilt
+# from the block's own stretch of the orbit.
+PRODUCT_FLOOR = 64
+
 
 def phase_lattice(samples):
     """Midpoint lattice on the circle used for quadrature over the phase."""
@@ -158,25 +169,136 @@ def iterate(cocycle, theta, n):
     return out
 
 
+def _orbit_chunks(cocycle, phases, block=1):
+    """Fiber matrices along an orbit (steps on the first axis of ``phases``),
+    one stack per cocycle call; a stack holds a whole number of ``block``
+    steps and about ``ORBIT_CHUNK_ENTRIES`` matrix entries."""
+    phases = np.asarray(phases)
+    batch = int(np.prod(phases.shape[1:]))
+    chunk = block * max(1, ORBIT_CHUNK_ENTRIES // (block * batch * cocycle.dim ** 2))
+    for start in range(0, len(phases), chunk):
+        part = phases[start:start + chunk]
+        # a map that ignores its phases returns one matrix for the whole part
+        yield np.broadcast_to(cocycle.matrices(part),
+                              part.shape + (cocycle.dim, cocycle.dim))
+
+
 def orbit_matrices(cocycle, phases):
     """Fiber matrices along an orbit, one step (first axis of ``phases``)
     at a time, from one cocycle call per chunk of steps."""
-    phases = np.asarray(phases)
-    batch = int(np.prod(phases.shape[1:]))
-    chunk = max(1, ORBIT_CHUNK_ENTRIES // (batch * cocycle.dim ** 2))
-    for start in range(0, len(phases), chunk):
-        block = phases[start:start + chunk]
-        # a map that ignores its phases returns one matrix for the whole block
-        yield from np.broadcast_to(cocycle.matrices(block),
-                                   block.shape + (cocycle.dim, cocycle.dim))
+    for stack in _orbit_chunks(cocycle, phases):
+        yield from stack
+
+
+def _qr_step(a, q, inverse):
+    return np.linalg.qr(np.linalg.solve(a, q) if inverse else a @ q)
 
 
 def transport(cocycle, q, phases, inverse=False):
     """Yield ``(q, r) = qr(A q)`` per step of the orbit, or ``qr(A^-1 q)``
     with ``inverse``, carrying the frame ``q`` forward."""
     for a in orbit_matrices(cocycle, phases):
-        q, r = np.linalg.qr(np.linalg.solve(a, q) if inverse else a @ q)
+        q, r = _qr_step(a, q, inverse)
         yield q, r
+
+
+# ── cached orbit products ────────────────────────────────────────────────────
+
+def _pair_products(mats):
+    # Products of consecutive pairs in transport order (the later factor on
+    # the left), each scaled to unit Frobenius norm.
+    p = mats[1::2] @ mats[0::2]
+    return p / np.linalg.norm(p, axis=(-2, -1), keepdims=True)
+
+
+def _level_products(mats):
+    # Every level of the pairwise product tree over a power-of-two stack.
+    levels = [mats]
+    while len(levels[-1]) > 1:
+        levels.append(_pair_products(levels[-1]))
+    return levels
+
+
+class _Segment:
+    """Product tree over a power-of-two stretch of the orbit, in transport
+    order, kept from blocks of ``PRODUCT_FLOOR`` steps up, and the pieces
+    (start, length, matrix) that last carried a frame across it."""
+
+    def __init__(self, cocycle, phases, inverse):
+        self.cocycle = cocycle
+        self.phases = phases
+        self.inverse = inverse
+        self.floor = min(PRODUCT_FLOOR, len(phases))
+        blocks = []
+        for a in _orbit_chunks(cocycle, phases, self.floor):
+            p = np.linalg.inv(a) if inverse else a
+            while len(p) * self.floor > len(a):
+                p = _pair_products(p)
+            blocks.append(p)
+        self.levels = _level_products(np.concatenate(blocks))
+        self.pieces = [(0, len(phases), self.levels[-1][0])]
+        self._finer = None
+
+    def carry(self, q):
+        # Cross the pieces in order.  A piece whose image loses a direction
+        # to rounding (the certificate fails) gives way to its two halves
+        # for this and every later frame, down to single transport steps.
+        kept, todo = [], self.pieces[::-1]
+        while todo:
+            piece = todo.pop()
+            start, length, mat = piece
+            if length == 1:
+                q = _qr_step(mat, q, self.inverse)[0]
+            else:
+                moved, r = np.linalg.qr(mat @ q)
+                if KAPPA * np.abs(np.diagonal(r)).min() < 1.0:
+                    todo += self._halves(start, length)[::-1]
+                    continue
+                q = moved
+            kept.append(piece)
+        self.pieces = kept
+        self._finer = None
+        return q
+
+    def _halves(self, start, length):
+        half = length // 2
+        if half >= self.floor:
+            offset, level = 0, self.levels[(half // self.floor).bit_length() - 1]
+        else:
+            # below the floor: rebuild the block's levels from its own stretch
+            # of the orbit, with the raw steps at the bottom
+            block = start - start % self.floor
+            if self._finer is None or self._finer[0] != block:
+                (a,) = _orbit_chunks(self.cocycle,
+                                     self.phases[block:block + self.floor], self.floor)
+                finer = _level_products(np.linalg.inv(a) if self.inverse else a)
+                self._finer = (block, [a] + finer[1:])
+            offset, level = self._finer[0], self._finer[1][half.bit_length() - 1]
+        k = (start - offset) // half
+        return [(start, half, level[k].copy()), (start + half, half, level[k + 1].copy())]
+
+
+def _window_frames(cocycle, q, theta, n_start, n_max, backward=False):
+    """Yield ``(n, frame)`` for the windows n = n_start, 2 n_start, ... up to
+    n_max: the frame ``q`` pushed forward across the n steps that end at
+    ``theta``, or with ``backward`` pulled back across the n steps that start
+    there, as the per-step ``transport`` would carry it.
+
+    Each doubling builds the product tree of its new far half once and keeps
+    every earlier one.  The frame starts at the far end and crosses each
+    tree by its largest blocks whose certificate holds (see ``KAPPA``),
+    down to single transport steps.
+    """
+    segments = []
+    done, n = 0, n_start
+    while n <= n_max:
+        steps = np.arange(n - 1, done - 1, -1) if backward else np.arange(-n, -done)
+        segments.append(_Segment(cocycle, theta + cocycle.alpha * steps, backward))
+        frame = q
+        for segment in reversed(segments):
+            frame = segment.carry(frame)
+        yield n, frame
+        done, n = n, 2 * n
 
 
 def _qr_engine(cocycle, phases, n_steps, top):

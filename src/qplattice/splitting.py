@@ -67,16 +67,19 @@ def _empty_frame(dim):
     return np.zeros((dim, 0), dtype=complex)
 
 
+def _random_frame(dim, n_cols, seed):
+    rng = np.random.default_rng(seed)
+    return orthonormal_columns(
+        rng.standard_normal((dim, n_cols)) + 1j * rng.standard_normal((dim, n_cols))
+    )
+
+
 def _converged_frame(cocycle, theta, n_window, n_cols, seed, backward):
     # Converge onto the fastest-expanding image directions by pushing a
     # random frame forward across the window ending at theta, or with
     # ``backward`` onto the most-contracted directions by pulling it back
     # across the window starting at theta.
-    rng = np.random.default_rng(seed)
-    dim = cocycle.dim
-    q = orthonormal_columns(
-        rng.standard_normal((dim, n_cols)) + 1j * rng.standard_normal((dim, n_cols))
-    )
+    q = _random_frame(cocycle.dim, n_cols, seed)
     steps = np.arange(n_window - 1, -1, -1) if backward else np.arange(-n_window, 0)
     for q, _ in transport(cocycle, q, theta + cocycle.alpha * steps, inverse=backward):
         pass

@@ -5,6 +5,14 @@ over the bottom component of the doubled state space; their slopes give
 the two boundary matrices, which assemble into the 2x2-block whole-line
 matrix.  Trace identities and growth-controlled bounds on its imaginary
 part turn the neutral-frame envelopes into spectral-measure estimates.
+
+A solution space is converged by window doubling: a fixed random frame is
+carried across windows of GRAPH_WINDOW_START, twice that, ... steps until
+two successive frames agree to GRAPH_STABLE_TOL.  Each doubling adds the
+product tree of its new far half of the orbit to the cached trees of the
+earlier windows, and the frame crosses the window by certified block
+products (``cocycle._window_frames``), so no window is stepped again from
+scratch.
 """
 
 import numpy as np
@@ -17,14 +25,14 @@ from .linalg import (
     principal_angles,
     solve_shifted_banded,
 )
-from .cocycle import transfer_cocycle
+from .cocycle import _window_frames, transfer_cocycle
 from .splitting import (
     DEFAULT_WINDOW,
     compute_splitting,
     critical_set_test,
     detect_splitting,
-    _converged_frame,
     _neutral_growth,
+    _random_frame,
 )
 
 GRAPH_WINDOW_START = 64
@@ -36,16 +44,16 @@ GRAPH_STABLE_TOL = 1e-11
 
 
 def _stabilized_frame(cocycle, theta, n_cols, backward):
+    # Frame of the decaying solutions and the window it settled at: the
+    # first window whose frame lies within GRAPH_STABLE_TOL of the frame of
+    # half that window.
+    start = _random_frame(cocycle.dim, n_cols, seed=11)
     prev = None
-    n = GRAPH_WINDOW_START
-    while n <= GRAPH_WINDOW_MAX:
-        frame = _converged_frame(cocycle, theta, n, n_cols, seed=11, backward=backward)
-        if prev is not None:
-            gap = np.sin(principal_angles(prev, frame)[-1]) if n_cols else 0.0
-            if gap < GRAPH_STABLE_TOL:
-                return frame
+    for n, frame in _window_frames(cocycle, start, theta, GRAPH_WINDOW_START,
+                                   GRAPH_WINDOW_MAX, backward=backward):
+        if prev is not None and np.sin(principal_angles(prev, frame)[-1]) < GRAPH_STABLE_TOL:
+            return frame, n
         prev = frame
-        n *= 2
     raise ConvergenceError(
         "half-line solution space did not stabilize; the energy may sit "
         "inside the spectrum where no decaying solutions exist"
@@ -68,7 +76,7 @@ def _boundary_matrix(strip, z, theta, right):
     # component, times -C on the right and C on the left.  For Im z > 0 the
     # imaginary part is checked to be positive definite (Herglotz).
     cocycle = transfer_cocycle(strip, z)
-    frame = _stabilized_frame(cocycle, theta, strip.width, backward=right)
+    frame, _ = _stabilized_frame(cocycle, theta, strip.width, backward=right)
     coupling = -strip.coupling if right else strip.coupling
     value = coupling @ _graph_slope(frame)
     if np.imag(z) > 0:
@@ -87,10 +95,16 @@ def m_plus(strip, z, theta=0.0):
     The most-contracted state directions of the energy-z transfer
     cocycle are converged by window doubling and read off as a graph
     over the bottom component; the boundary matrix is minus the coupling
-    applied to the slope.  For Im z > 0 the imaginary part is checked to
-    be positive definite.  Real z works off the spectrum, where decaying
-    solutions still exist; inside the spectrum the window doubling fails
-    to stabilize and raises.
+    applied to the slope.  Each doubling pulls a fixed random frame back
+    from the far end of the window [0, n) to theta across cached products
+    of the orbit's steps: the products of [0, n/2) are kept from the
+    previous windows and only [n/2, n) is multiplied out anew.  A block
+    carries the frame only when its certificate holds
+    (``cocycle.KAPPA``), otherwise its halves do, down to single steps.
+    For Im z > 0 the imaginary part is checked to be positive definite.
+    Real z works off the spectrum, where decaying solutions still exist;
+    inside the spectrum the window doubling fails to stabilize by
+    GRAPH_WINDOW_MAX steps and raises.
 
     Returns
     -------

@@ -151,6 +151,8 @@ def test_config_errors(tmp_path):
         ("lyapunov", {"grid": {"values": [3.0]}, "steps": 0}),
         ("lyapunov", {"grid": {"values": [3.0]}, "steps": -5}),
         ("lyapunov", {"grid": {"values": [3.0]}, "samples": 0}),
+        ("thouless", {"grid": {"values": [3.0]}, "steps": 0}),
+        ("thouless", {"grid": {"values": [3.0]}, "samples": 0}),
         ("ids", {"grid": {"values": [-1.0, 1.0]}, "truncation": 64, "samples": 0}),
         ("duality", {"energy": 0.5, "truncation": 101, "window": 0}),
         ("subordinacy", {"energy": 0.0, "radii": [0, 16]}),
@@ -178,13 +180,13 @@ def test_duality_report(tmp_path):
     # 0.335 lies in the spectrum of AMO_HALF; 0.5 lies in the gap between
     # its bands at 0.335 and 1.298, where the nearest dual eigenvalue
     # belongs to a state bound to the truncation's end (site 400), whose
-    # transform solves nothing
+    # transform solves nothing: the report is still written, with exit 2
     for energy, dual_energy, solves in ((0.335, 0.3350041705931766, True),
                                         (0.5, 0.5590958685625913, False)):
         cfg = {"operator": AMO_HALF, "energy": energy,
                "truncation": 801, "window": 128}
         assert main(["duality", "--config", write_config(tmp_path, cfg),
-                     "--out", str(tmp_path)]) == 0
+                     "--out", str(tmp_path)]) == (0 if solves else 2)
         payload = json.loads((tmp_path / "duality.json").read_text())
         assert abs(payload["dual_energy"] - dual_energy) < 1e-9
         assert (payload["residual"] < 1e-6) == solves

@@ -4,9 +4,28 @@ import numpy as np
 import pytest
 
 from conftest import random_line, random_strip
-from qplattice.linalg import ArgumentError, ConvergenceError, eigenvalues_banded
-from qplattice.operators import almost_mathieu, fold_to_strip, free_laplacian
+from test_acceptance import kernel_suite
+from qplattice.cocycle import transfer_cocycle
+from qplattice.corpus import spectrum_sample
+from qplattice.linalg import (
+    ArgumentError,
+    ConvergenceError,
+    eigenvalues_banded,
+    principal_angles,
+)
+from qplattice.operators import (
+    almost_mathieu,
+    fold_to_strip,
+    free_laplacian,
+    operator_from_config,
+)
+from qplattice.splitting import _converged_frame
 from qplattice.weyl import (
+    GRAPH_STABLE_TOL,
+    GRAPH_WINDOW_MAX,
+    GRAPH_WINDOW_START,
+    _graph_slope,
+    _stabilized_frame,
     green_oracle,
     im_m_trace,
     m_matrix,
@@ -87,6 +106,76 @@ def test_kernel_blocks_match_truncated_resolvent():
                                  verify=False))
                 err = np.abs(block - oracle).max() / np.abs(oracle).max()
                 assert err < 1e-2
+
+
+# ── window doubling over cached products vs the restart loop ─────────────────
+
+AMO_HALF = fold_to_strip(almost_mathieu(0.5))
+# the 40 % and 60 % eigenvalue quantiles of AMO(0.5)'s 987-site truncation
+AMO_LOW, AMO_HIGH = -0.32505865259836064, 0.3239709367437753
+AMO_POINTS = ([AMO_LOW + 1j * eps for eps in (1e-1, 3e-2, 1e-2, 5e-3)]
+              + [AMO_HIGH + 1j * eps for eps in (1e-1, 3e-2, 1e-2, 5e-3, 3e-3)])
+# A range-3 line whose transfer exponents are about 1.38, 0.006 and 0.004
+# per step: block products longer than a few steps lose the small
+# directions of the three-column frame to rounding.
+K3_STRIP = fold_to_strip(operator_from_config({
+    "hopping": [[1, -0.5576903997016569, -0.05887608658612613],
+                [2, -0.5148069451276732, -0.31236161427280124],
+                [3, 0.9783526153751235, -0.27580947276643897]],
+    "potential": {"type": "fourier",
+                  "coefficients": [[0, -0.4315976725024171, 0.0],
+                                   [1, -0.183667240426493, -0.5226505131468855]]},
+    "alpha": 0.6180339887498949,
+    "theta": 0.2927207490124871,
+    "epsilon": 0.20119206680706894,
+}))
+K3_ENERGY = 1.787822883576401 + 0.01j
+
+
+def _restarted_frame(cocycle, theta, n_cols, backward):
+    # The loop the cached products replaced: every window converges the
+    # seed-11 frame from scratch, one transport step at a time.
+    prev = None
+    n = GRAPH_WINDOW_START
+    while n <= GRAPH_WINDOW_MAX:
+        frame = _converged_frame(cocycle, theta, n, n_cols, seed=11, backward=backward)
+        if prev is not None and np.sin(principal_angles(prev, frame)[-1]) < GRAPH_STABLE_TOL:
+            return frame, n
+        prev = frame
+        n *= 2
+    raise ConvergenceError("half-line solution space did not stabilize")
+
+
+@pytest.mark.parametrize(
+    "strip, z",
+    list(kernel_suite()) + [(AMO_HALF, z) for z in AMO_POINTS] + [(K3_STRIP, K3_ENERGY)],
+)
+def test_boundary_matrices_match_the_restart_loop(strip, z):
+    cocycle = transfer_cocycle(strip, z)
+    for right, value in ((True, m_plus(strip, z)), (False, m_minus(strip, z))):
+        frame, window = _restarted_frame(cocycle, 0.0, strip.width, backward=right)
+        coupling = -strip.coupling if right else strip.coupling
+        np.testing.assert_allclose(value, coupling @ _graph_slope(frame),
+                                   rtol=1e-10, atol=0)
+        assert _stabilized_frame(cocycle, 0.0, strip.width, right)[1] == window
+
+
+def test_certified_blocks_keep_a_three_column_frame():
+    data = m_matrix(K3_STRIP, K3_ENERGY)
+    for i in (0, 1):
+        for j in (0, 1):
+            oracle = green_oracle(K3_STRIP, K3_ENERGY, i - 1, j - 1, n_sites=8001,
+                                  verify=False)
+            err = np.abs(data.block(i, j) - oracle).max() / np.abs(oracle).max()
+            assert err < 1e-10
+
+
+def test_boundary_matrix_raises_inside_the_spectrum():
+    # a real energy in the spectrum: no decaying solutions, so the window
+    # doubling runs to GRAPH_WINDOW_MAX without settling
+    energy = float(spectrum_sample(almost_mathieu(0.5), 8)[4])
+    with pytest.raises(ConvergenceError):
+        m_plus(AMO_HALF, energy)
 
 
 # ── the resolvent oracle itself ──────────────────────────────────────────────
