@@ -74,6 +74,17 @@ class Cocycle:
 
     matrix = matrices
 
+    def inverse(self):
+        """The inverse dynamics as a cocycle: rotation ``-alpha``, matrix
+        ``A(x - alpha)^-1`` at x (one batched inverse per call) and the same
+        pairing.  Its inverse is this very cocycle."""
+        if "_inverse" in self.__dict__:
+            return self._inverse
+        inv = Cocycle(-self.alpha, lambda x: np.linalg.inv(self.matrices(x - self.alpha)),
+                      self.dim, form=self.form)
+        inv._inverse = self
+        return inv
+
 
 # ── builders ─────────────────────────────────────────────────────────────────
 
@@ -154,16 +165,14 @@ def companion_cocycle(line_op, energy):
 def iterate(cocycle, theta, n):
     """Product of n steps starting at ``theta`` (inverse steps for n < 0).
 
-    ``iterate(c, x, -n)`` is the inverse of the forward product based at
-    ``x - n alpha``, which is the standard two-sided extension.  Plain
-    products only: for long hyperbolic runs use the QR-based routines.
+    ``iterate(c, x, -n)`` is the product of the inverse cocycle's n steps
+    from ``x``: the inverse of the forward product based at ``x - n alpha``,
+    which is the standard two-sided extension.  Plain products only: for
+    long hyperbolic runs use the QR-based routines.
     """
-    d = cocycle.dim
-    if n == 0:
-        return np.eye(d, dtype=complex)
     if n < 0:
-        return np.linalg.inv(iterate(cocycle, theta + n * cocycle.alpha, -n))
-    out = np.eye(d, dtype=complex)
+        return iterate(cocycle.inverse(), theta, -n)
+    out = np.eye(cocycle.dim, dtype=complex)
     for a in orbit_matrices(cocycle, theta + cocycle.alpha * np.arange(n)):
         out = a @ out
     return out
@@ -190,15 +199,11 @@ def orbit_matrices(cocycle, phases):
         yield from stack
 
 
-def _qr_step(a, q, inverse):
-    return np.linalg.qr(np.linalg.solve(a, q) if inverse else a @ q)
-
-
-def transport(cocycle, q, phases, inverse=False):
-    """Yield ``(q, r) = qr(A q)`` per step of the orbit, or ``qr(A^-1 q)``
-    with ``inverse``, carrying the frame ``q`` forward."""
+def transport(cocycle, q, phases):
+    """Yield ``(q, r) = qr(A q)`` per step of the orbit, carrying the frame
+    ``q`` forward; pass ``cocycle.inverse()`` to carry it backward."""
     for a in orbit_matrices(cocycle, phases):
-        q, r = _qr_step(a, q, inverse)
+        q, r = np.linalg.qr(a @ q)
         yield q, r
 
 
@@ -224,15 +229,14 @@ class _Segment:
     order, kept from blocks of ``PRODUCT_FLOOR`` steps up, and the pieces
     (start, length, matrix) that last carried a frame across it."""
 
-    def __init__(self, cocycle, phases, inverse):
+    def __init__(self, cocycle, phases):
         self.cocycle = cocycle
         self.phases = phases
-        self.inverse = inverse
         self.floor = min(PRODUCT_FLOOR, len(phases))
         blocks = []
-        for a in _orbit_chunks(cocycle, phases, self.floor):
-            p = np.linalg.inv(a) if inverse else a
-            while len(p) * self.floor > len(a):
+        for p in _orbit_chunks(cocycle, phases, self.floor):
+            steps = len(p)
+            while len(p) * self.floor > steps:
                 p = _pair_products(p)
             blocks.append(p)
         self.levels = _level_products(np.concatenate(blocks))
@@ -242,19 +246,17 @@ class _Segment:
     def carry(self, q):
         # Cross the pieces in order.  A piece whose image loses a direction
         # to rounding (the certificate fails) gives way to its two halves
-        # for this and every later frame, down to single transport steps.
+        # for this and every later frame, down to single transport steps,
+        # which need no certificate.
         kept, todo = [], self.pieces[::-1]
         while todo:
             piece = todo.pop()
             start, length, mat = piece
-            if length == 1:
-                q = _qr_step(mat, q, self.inverse)[0]
-            else:
-                moved, r = np.linalg.qr(mat @ q)
-                if KAPPA * np.abs(np.diagonal(r)).min() < 1.0:
-                    todo += self._halves(start, length)[::-1]
-                    continue
-                q = moved
+            moved, r = np.linalg.qr(mat @ q)
+            if length > 1 and KAPPA * np.abs(np.diagonal(r)).min() < 1.0:
+                todo += self._halves(start, length)[::-1]
+                continue
+            q = moved
             kept.append(piece)
         self.pieces = kept
         self._finer = None
@@ -271,18 +273,18 @@ class _Segment:
             if self._finer is None or self._finer[0] != block:
                 (a,) = _orbit_chunks(self.cocycle,
                                      self.phases[block:block + self.floor], self.floor)
-                finer = _level_products(np.linalg.inv(a) if self.inverse else a)
-                self._finer = (block, [a] + finer[1:])
+                self._finer = (block, _level_products(a))
             offset, level = self._finer[0], self._finer[1][half.bit_length() - 1]
         k = (start - offset) // half
         return [(start, half, level[k].copy()), (start + half, half, level[k + 1].copy())]
 
 
-def _window_frames(cocycle, q, theta, n_start, n_max, backward=False):
+def _window_frames(cocycle, q, theta, n_start, n_max):
     """Yield ``(n, frame)`` for the windows n = n_start, 2 n_start, ... up to
     n_max: the frame ``q`` pushed forward across the n steps that end at
-    ``theta``, or with ``backward`` pulled back across the n steps that start
-    there, as the per-step ``transport`` would carry it.
+    ``theta``, as the per-step ``transport`` would carry it.  On the inverse
+    cocycle that pulls the frame back across the n steps of the original
+    orbit that start at ``theta``.
 
     Each doubling builds the product tree of its new far half once and keeps
     every earlier one.  The frame starts at the far end and crosses each
@@ -292,8 +294,7 @@ def _window_frames(cocycle, q, theta, n_start, n_max, backward=False):
     segments = []
     done, n = 0, n_start
     while n <= n_max:
-        steps = np.arange(n - 1, done - 1, -1) if backward else np.arange(-n, -done)
-        segments.append(_Segment(cocycle, theta + cocycle.alpha * steps, backward))
+        segments.append(_Segment(cocycle, theta + cocycle.alpha * np.arange(-n, -done)))
         frame = q
         for segment in reversed(segments):
             frame = segment.carry(frame)

@@ -122,6 +122,10 @@ def _wronskian_drift(strip, energy, theta, x0, y0, n_steps):
     y_logs = np.empty(n_steps + 1)
     y_states[n_steps] = y
     y_logs[n_steps] = 0.0
+    # The sweep solves against the forward steps instead of stepping
+    # c.inverse(): the inverse cocycle evaluates A at x - alpha, which
+    # rounds the phases differently from the forward sweep, and the AMO
+    # off-spectrum pairing check then reads 1.4e-10, not 8.2e-11 (< 1e-10).
     backward = np.arange(n_steps - 1, -1, -1)
     for n, a in zip(backward, orbit_matrices(c, theta + c.alpha * backward)):
         y = np.linalg.solve(a, y)

@@ -74,14 +74,13 @@ def _random_frame(dim, n_cols, seed):
     )
 
 
-def _converged_frame(cocycle, theta, n_window, n_cols, seed, backward):
+def _converged_frame(cocycle, theta, n_window, n_cols, seed):
     # Converge onto the fastest-expanding image directions by pushing a
-    # random frame forward across the window ending at theta, or with
-    # ``backward`` onto the most-contracted directions by pulling it back
-    # across the window starting at theta.
+    # random frame forward across the window ending at theta; on the
+    # inverse cocycle these are the most-contracted directions of the
+    # window starting at theta.
     q = _random_frame(cocycle.dim, n_cols, seed)
-    steps = np.arange(n_window - 1, -1, -1) if backward else np.arange(-n_window, 0)
-    for q, _ in transport(cocycle, q, theta + cocycle.alpha * steps, inverse=backward):
+    for q, _ in transport(cocycle, q, theta + cocycle.alpha * np.arange(-n_window, 0)):
         pass
     return q
 
@@ -114,10 +113,8 @@ def _center_complement(cocycle, theta, fast, slow, d_center):
     else:
         n_window = DEFAULT_WINDOW
         h = fast.shape[1]
-        slow_fwd = _converged_frame(cocycle, theta, n_window, dim - h, seed=5,
-                                    backward=True)
-        slow_bwd = _converged_frame(cocycle, theta, n_window, dim - h, seed=6,
-                                    backward=False)
+        slow_fwd = _converged_frame(cocycle.inverse(), theta, n_window, dim - h, seed=5)
+        slow_bwd = _converged_frame(cocycle, theta, n_window, dim - h, seed=6)
         frame = _intersect_frames(slow_fwd, slow_bwd)
     if frame.shape[1] != d_center:
         raise ConvergenceError(
@@ -131,12 +128,12 @@ def _frames_at(cocycle, theta, dims, n_window):
     d_u, d_c, d_s = dims
     dim = cocycle.dim
     fast = (
-        _converged_frame(cocycle, theta, n_window, d_u, seed=1, backward=False)
+        _converged_frame(cocycle, theta, n_window, d_u, seed=1)
         if d_u
         else _empty_frame(dim)
     )
     slow = (
-        _converged_frame(cocycle, theta, n_window, d_s, seed=2, backward=True)
+        _converged_frame(cocycle.inverse(), theta, n_window, d_s, seed=2)
         if d_s
         else _empty_frame(dim)
     )
@@ -307,6 +304,8 @@ def center_growth(cocycle, splitting, n_max):
     Returns the sequence C(0), ..., C(n_max) with
     C(n) = max(1, max_{s <= n} ||A_s restricted to the neutral frame||^2),
     computed by transporting the frame with per-step re-orthonormalization.
+    On ``cocycle.inverse()`` the same splitting, whose neutral frame serves
+    both directions, gives it along the steps A(theta - n alpha)^-1.
 
     When hyperbolic directions coexist with the neutral ones, rounding
     noise in the transported frame is amplified at the top rate and would
@@ -322,18 +321,11 @@ def center_growth(cocycle, splitting, n_max):
     ConvergenceError
         If the transported frame drifts off the invariant one.
     """
-    return _neutral_growth(cocycle, splitting, n_max, backward=False)
-
-
-def _neutral_growth(cocycle, splitting, n_max, backward):
-    # center_growth along the forward orbit, or along the backward one with
-    # the steps A(theta - n alpha)^-1.
     d_c = splitting.dims[1]
     dim = cocycle.dim
     if d_c == 0:
         raise ArgumentError("splitting has no neutral directions")
-    theta = splitting.theta
-    alpha = -cocycle.alpha if backward else cocycle.alpha
+    theta, alpha = splitting.theta, cocycle.alpha
     mixed = d_c < dim
     if mixed:
         spread = float(splitting.rates[0] - splitting.rates[-1])
@@ -353,8 +345,7 @@ def _neutral_growth(cocycle, splitting, n_max, backward):
     while n < n_max:
         # one segment of steps n+1 .. end, then a rebasing when mixed
         end = min(n + rebase_every, n_max)
-        steps = np.arange(n + 1, end + 1) if backward else np.arange(n, end)
-        for q, r in transport(cocycle, q, theta + alpha * steps, inverse=backward):
+        for q, r in transport(cocycle, q, theta + alpha * np.arange(n, end)):
             n += 1
             rprod = r @ rprod
             scale = np.linalg.norm(rprod)

@@ -28,10 +28,10 @@ from .linalg import (
 from .cocycle import _window_frames, transfer_cocycle
 from .splitting import (
     DEFAULT_WINDOW,
+    center_growth,
     compute_splitting,
     critical_set_test,
     detect_splitting,
-    _neutral_growth,
     _random_frame,
 )
 
@@ -43,14 +43,14 @@ GRAPH_STABLE_TOL = 1e-11
 # ── half-line solution graphs ────────────────────────────────────────────────
 
 
-def _stabilized_frame(cocycle, theta, n_cols, backward):
+def _stabilized_frame(cocycle, theta, n_cols):
     # Frame of the decaying solutions and the window it settled at: the
     # first window whose frame lies within GRAPH_STABLE_TOL of the frame of
     # half that window.
     start = _random_frame(cocycle.dim, n_cols, seed=11)
     prev = None
     for n, frame in _window_frames(cocycle, start, theta, GRAPH_WINDOW_START,
-                                   GRAPH_WINDOW_MAX, backward=backward):
+                                   GRAPH_WINDOW_MAX):
         if prev is not None and np.sin(principal_angles(prev, frame)[-1]) < GRAPH_STABLE_TOL:
             return frame, n
         prev = frame
@@ -71,16 +71,23 @@ def _graph_slope(frame):
     return frame[:m, :] @ np.linalg.inv(bottom)
 
 
+def _imag_part(a):
+    return (a - a.conj().T) / 2j
+
+
 def _boundary_matrix(strip, z, theta, right):
     # Slope of the decaying half-line solutions as a graph over the bottom
-    # component, times -C on the right and C on the left.  For Im z > 0 the
-    # imaginary part is checked to be positive definite (Herglotz).
+    # component, times -C on the right (from the inverse cocycle) and C on
+    # the left.  For Im z > 0 the imaginary part is checked to be positive
+    # definite (Herglotz).
     cocycle = transfer_cocycle(strip, z)
-    frame, _ = _stabilized_frame(cocycle, theta, strip.width, backward=right)
+    if right:
+        cocycle = cocycle.inverse()
+    frame, _ = _stabilized_frame(cocycle, theta, strip.width)
     coupling = -strip.coupling if right else strip.coupling
     value = coupling @ _graph_slope(frame)
     if np.imag(z) > 0:
-        low = float(np.min(np.linalg.eigvalsh((value - value.conj().T) / 2j)))
+        low = float(np.min(np.linalg.eigvalsh(_imag_part(value))))
         if low <= -1e-10 * max(1.0, np.linalg.norm(value, 2)):
             raise InvariantError(
                 "imaginary part of the %s boundary matrix is not positive"
@@ -93,10 +100,11 @@ def m_plus(strip, z, theta=0.0):
     """Boundary matrix of the decaying solutions on the right half line.
 
     The most-contracted state directions of the energy-z transfer
-    cocycle are converged by window doubling and read off as a graph
-    over the bottom component; the boundary matrix is minus the coupling
-    applied to the slope.  Each doubling pulls a fixed random frame back
-    from the far end of the window [0, n) to theta across cached products
+    cocycle, the most-expanded ones of its inverse cocycle, are converged
+    by window doubling and read off as a graph over the bottom component;
+    the boundary matrix is minus the coupling applied to the slope.  Each
+    doubling pushes a fixed random frame along the inverse cocycle, back
+    from the far end of the window [0, n) to theta, across cached products
     of the orbit's steps: the products of [0, n/2) are kept from the
     previous windows and only [n/2, n) is multiplied out anew.  A block
     carries the frame only when its certificate holds
@@ -178,8 +186,9 @@ def m_matrix(strip, z, theta=0.0):
     )
 
 
-def _imag_part(a):
-    return (a - a.conj().T) / 2j
+def _boundary_weight(x, c_inv):
+    # m + tr(C^-1 x x^H C^-H): the size of a boundary matrix in the bounds.
+    return float(np.real(x.shape[0] + np.trace(c_inv @ x @ x.conj().T @ c_inv.conj().T)))
 
 
 def im_m_trace(weyl):
@@ -197,7 +206,6 @@ def im_m_trace(weyl):
         The (real) trace.
     """
     x, y, c = weyl.plus, weyl.minus, weyl.coupling
-    m = x.shape[0]
     imx = _imag_part(x)
     imy = _imag_part(y)
     if np.min(np.linalg.eigvalsh(imx)) <= 0 or np.min(np.linalg.eigvalsh(imy)) <= 0:
@@ -223,10 +231,9 @@ def im_m_trace(weyl):
         return np.linalg.norm(n, 2) * np.linalg.norm(np.linalg.inv(n), 2)
 
     kappa = max(_cond(imx), _cond(imy))
-    weight_x = float(np.real(m + np.trace(c_inv @ x @ x.conj().T @ c_inv.conj().T)))
-    weight_y = float(np.real(m + np.trace(c_inv @ y @ y.conj().T @ c_inv.conj().T)))
     bound = kappa**3 * (
-        weight_x / np.linalg.norm(imx, 2) + weight_y / np.linalg.norm(imy, 2)
+        _boundary_weight(x, c_inv) / np.linalg.norm(imx, 2)
+        + _boundary_weight(y, c_inv) / np.linalg.norm(imy, 2)
     )
     if direct > bound * (1 + 1e-9):
         raise InvariantError(
@@ -291,37 +298,30 @@ def spectral_bound(strip, energy, eps_grid=None, theta=0.0, dims=None,
         raise ArgumentError("no neutral directions at this energy")
 
     # squared neutral-frame sups C(n) = sup^2 along both half orbits, so
-    # sup^42 = C^21 and sup^6 = C^3
+    # sup^42 = C^21 and sup^6 = C^3; C reaches e^700, so the powers and
+    # the constants fitted against them are taken in log space
     n_big = int(np.ceil(3.0 / min(eps_grid)))
-    fwd = _neutral_growth(base, splitting, n_big, backward=False)
-    bwd = _neutral_growth(base, splitting, n_big, backward=True)
+    log_fwd = np.log(center_growth(base, splitting, n_big))
+    log_bwd = np.log(center_growth(base.inverse(), splitting, n_big))
 
-    m = strip.width
     c_inv = np.linalg.inv(strip.coupling)
-    trace_im = np.empty(len(eps_grid))
-    mu_bound = np.empty(len(eps_grid))
-    crit_lhs = np.empty(len(eps_grid))
-    crit_weight = np.empty(len(eps_grid))
-    growth_two_sided = np.empty(len(eps_grid))
-    sup_forward6 = np.empty(len(eps_grid))
-    for i, eps in enumerate(eps_grid):
+    rows = []
+    for eps in eps_grid:
         data = m_matrix(strip, energy + 1j * eps, theta)
-        trace_im[i] = im_m_trace(data)
-        mu_bound[i] = eps * trace_im[i]
-        x = data.plus
-        crit_lhs[i] = float(np.real(np.trace(_imag_part(x))))
-        crit_weight[i] = float(
-            np.real(m + np.trace(c_inv @ x @ x.conj().T @ c_inv.conj().T))
-        )
         horizon = int(np.ceil(3.0 / eps))
-        growth_two_sided[i] = max(fwd[horizon], bwd[horizon])
-        sup_forward6[i] = fwd[min(3 * int(np.ceil(1.0 / eps)), n_big)] ** 3
+        rows.append((im_m_trace(data),
+                     float(np.real(np.trace(_imag_part(data.plus)))),
+                     _boundary_weight(data.plus, c_inv),
+                     21 * max(log_fwd[horizon], log_bwd[horizon]),
+                     3 * log_fwd[min(3 * int(np.ceil(1.0 / eps)), n_big)]))
+    trace_im, crit_lhs, crit_weight, log_growth21, log_sup_forward6 = np.array(rows).T
 
-    jl_constant = float(np.max(trace_im / growth_two_sided**21))
-    jl_rhs = np.array([e * jl_constant * g**21
-                       for e, g in zip(eps_grid, growth_two_sided)])
-    criterion_constant = float(np.max(crit_weight / (crit_lhs * sup_forward6)))
-    criterion_rhs = crit_weight / (criterion_constant * sup_forward6)
+    eps = np.asarray(eps_grid)
+    mu_bound = eps * trace_im
+    log_jl = np.max(np.log(trace_im) - log_growth21)
+    jl_rhs = eps * np.exp(log_jl + log_growth21)
+    log_criterion = np.max(np.log(crit_weight / crit_lhs) - log_sup_forward6)
+    criterion_rhs = crit_weight * np.exp(-log_criterion - log_sup_forward6)
 
     return SpectralBoundReport(
         energy=float(energy),
@@ -331,10 +331,10 @@ def spectral_bound(strip, energy, eps_grid=None, theta=0.0, dims=None,
         trace_im=trace_im,
         mu_bound=mu_bound,
         jl_rhs=jl_rhs,
-        jl_constant=jl_constant,
+        jl_constant=float(np.exp(log_jl)),
         criterion_lhs=crit_lhs,
         criterion_rhs=criterion_rhs,
-        criterion_constant=criterion_constant,
+        criterion_constant=float(np.exp(log_criterion)),
     )
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_line, random_strip
 from qplattice.cocycle import (
@@ -36,9 +37,10 @@ from qplattice.operators import (
 from qplattice.splitting import (
     _converged_frame,
     _frames_at,
-    _neutral_growth,
+    center_growth,
     detect_splitting,
 )
+from qplattice.symplectic import form_defect
 
 # arccosh(3/2): top exponent of the free operator at energy 3
 FREE_TOP_AT_3 = 0.9624236501192069
@@ -108,6 +110,49 @@ def test_iterate_cocycle_property():
     np.testing.assert_allclose(back @ iterate(cocycle, theta - 4 * cocycle.alpha, 4),
                                np.eye(cocycle.dim), atol=1e-10)
     np.testing.assert_allclose(iterate(cocycle, theta, 0), np.eye(cocycle.dim))
+
+
+# ── the inverse cocycle ──────────────────────────────────────────────────────
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def strip_cocycles(draw, real=False):
+    # transfer cocycles of random strips of width 1-3, at energies inside
+    # and outside the spectrum, real or complex
+    strip = random_strip(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                         k_max=draw(st.integers(1, 3)))
+    bound = strip.norm_bound() + 1.0
+    energy = draw(st.floats(-bound, bound))
+    if not real and draw(st.booleans()):
+        energy += 1j * draw(st.floats(-1.0, 1.0))
+    return transfer_cocycle(strip, energy)
+
+
+@PROPERTY
+@given(cocycle=strip_cocycles(), x=st.floats(0.0, 1.0), n=st.integers(1, 40))
+def test_inverse_cocycle_undoes_the_forward_steps(cocycle, x, n):
+    inverse = cocycle.inverse()
+    assert inverse.inverse() is cocycle
+    assert inverse.alpha == -cocycle.alpha
+    back = iterate(inverse, x, n)
+    forward = iterate(cocycle, x - n * cocycle.alpha, n)
+    # both products grow at the top exponent, and the rounding error of
+    # their product grows with both norms
+    scale = np.linalg.norm(back, 2) * np.linalg.norm(forward, 2)
+    np.testing.assert_allclose(back @ forward, np.eye(cocycle.dim),
+                               rtol=0, atol=1e-10 * scale)
+    np.testing.assert_array_equal(iterate(cocycle, x, -n), back)
+
+
+@PROPERTY
+@given(cocycle=strip_cocycles(real=True), x=st.floats(0.0, 1.0), n=st.integers(1, 40))
+def test_inverse_steps_preserve_the_pairing(cocycle, x, n):
+    inverse = cocycle.inverse()
+    assert inverse.form is cocycle.form
+    for a in orbit_matrices(inverse, x + inverse.alpha * np.arange(n)):
+        assert form_defect(a, cocycle.form) <= 1e-12
 
 
 def test_free_operator_top_exponent():
@@ -310,8 +355,8 @@ def test_converged_frames_match_per_step_loops():
     cocycle = transfer_cocycle(strip, strip.norm_bound() + 1.0)
     n_window = chunk_edges(1, cocycle.dim)[-1]
     for backward in (False, True):
-        frame = _converged_frame(cocycle, 0.37, n_window, 2, seed=3,
-                                 backward=backward)
+        frame = _converged_frame(cocycle.inverse() if backward else cocycle,
+                                 0.37, n_window, 2, seed=3)
         reference = reference_frame(cocycle, 0.37, n_window, 2, seed=3,
                                     backward=backward)
         assert principal_angles(frame, reference).max() < 1e-12
@@ -323,14 +368,15 @@ def test_neutral_growth_matches_per_step_loop_on_mixed_splitting():
     cocycle = transfer_cocycle(fold_to_strip(line), energy)
     split = detect_splitting(cocycle, 0.0)
     assert split.dims == (1, 2, 1)
-    # the rebasing schedule of _neutral_growth on a mixed splitting
+    # the rebasing schedule of center_growth on a mixed splitting
     spread = float(split.rates[0] - split.rates[-1])
     rebase_every = int(np.clip(8.0 / max(spread, 1e-2), 1, 256))
     gap_rate = float(np.log(min(split.certificates)))
     fresh_window = int(np.clip(40.0 / max(gap_rate, 1e-6), 16, split.window))
     n_max = 5 * rebase_every + 3
     for backward in (False, True):
-        values = _neutral_growth(cocycle, split, n_max, backward)
+        values = center_growth(cocycle.inverse() if backward else cocycle,
+                               split, n_max)
         reference = reference_neutral_growth(cocycle, split, n_max, backward,
                                              rebase_every, fresh_window)
         np.testing.assert_allclose(values, reference, rtol=1e-10, atol=0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_line, random_strip
 from qplattice.linalg import ArgumentError
@@ -136,17 +137,25 @@ def test_strip_assemble_is_block_tridiagonal():
             np.testing.assert_array_equal(strip.assemble(n_blocks, -3), h)
 
 
-def test_fold_vector_round_trip():
-    rng = np.random.default_rng(23)
-    u = rng.normal(size=12) + 1j * rng.normal(size=12)
-    blocks, first_block = fold_vector(u, 3, first_site=-6)
-    assert first_block == -2
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(k_width=st.integers(1, 4), n_blocks=st.integers(1, 8),
+       first_block=st.integers(-8, 8), seed=st.integers(0, 2**32 - 1))
+def test_fold_vector_round_trip(k_width, n_blocks, first_block, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=k_width * n_blocks) + 1j * rng.normal(size=k_width * n_blocks)
+    blocks, first = fold_vector(u, k_width, first_site=k_width * first_block)
+    assert first == first_block
+    assert blocks.shape == (n_blocks, k_width)
+    assert blocks[0, 0] == u[k_width - 1]  # top component = latest site
     assert np.linalg.norm(blocks) == pytest.approx(np.linalg.norm(u))
-    back, first_site = unfold_vector(blocks, 3, first_block)
-    assert first_site == -6
-    np.testing.assert_allclose(back, u)
-    with pytest.raises(ArgumentError):
-        fold_vector(u, 3, first_site=-5)
+    back, first_site = unfold_vector(blocks, k_width, first)
+    assert first_site == k_width * first_block
+    np.testing.assert_array_equal(back, u)
+    if k_width > 1:
+        with pytest.raises(ArgumentError):
+            fold_vector(u, k_width, first_site=k_width * first_block + 1)
+        with pytest.raises(ArgumentError):
+            fold_vector(u[1:], k_width, first_site=k_width * first_block)
 
 
 def test_fold_requires_leading_coefficient():

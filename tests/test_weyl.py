@@ -132,13 +132,13 @@ K3_STRIP = fold_to_strip(operator_from_config({
 K3_ENERGY = 1.787822883576401 + 0.01j
 
 
-def _restarted_frame(cocycle, theta, n_cols, backward):
+def _restarted_frame(cocycle, theta, n_cols):
     # The loop the cached products replaced: every window converges the
     # seed-11 frame from scratch, one transport step at a time.
     prev = None
     n = GRAPH_WINDOW_START
     while n <= GRAPH_WINDOW_MAX:
-        frame = _converged_frame(cocycle, theta, n, n_cols, seed=11, backward=backward)
+        frame = _converged_frame(cocycle, theta, n, n_cols, seed=11)
         if prev is not None and np.sin(principal_angles(prev, frame)[-1]) < GRAPH_STABLE_TOL:
             return frame, n
         prev = frame
@@ -153,11 +153,12 @@ def _restarted_frame(cocycle, theta, n_cols, backward):
 def test_boundary_matrices_match_the_restart_loop(strip, z):
     cocycle = transfer_cocycle(strip, z)
     for right, value in ((True, m_plus(strip, z)), (False, m_minus(strip, z))):
-        frame, window = _restarted_frame(cocycle, 0.0, strip.width, backward=right)
+        directed = cocycle.inverse() if right else cocycle
+        frame, window = _restarted_frame(directed, 0.0, strip.width)
         coupling = -strip.coupling if right else strip.coupling
         np.testing.assert_allclose(value, coupling @ _graph_slope(frame),
                                    rtol=1e-10, atol=0)
-        assert _stabilized_frame(cocycle, 0.0, strip.width, right)[1] == window
+        assert _stabilized_frame(directed, 0.0, strip.width)[1] == window
 
 
 def test_certified_blocks_keep_a_three_column_frame():
@@ -223,6 +224,17 @@ def test_spectral_bound_mixed_splitting_stays_finite():
     assert np.all(np.isfinite(report.jl_rhs))
     assert np.all(report.mu_bound <= report.jl_rhs * (1 + 1e-9))
     assert np.all(report.criterion_rhs > 0)
+    assert np.all(report.criterion_lhs >= report.criterion_rhs * (1 - 1e-9))
+
+
+def test_spectral_bound_powers_do_not_overflow():
+    # near-critical coupling: at eps 1e-3 the neutral growth C^21 is about
+    # 1e358, past the float range, while jl_rhs there is about 1.1e210
+    report = spectral_bound(fold_to_strip(almost_mathieu(1.004)), 0.1443766826359531,
+                            eps_grid=(1e-2, 1e-3))
+    assert np.all(np.isfinite(report.jl_rhs))
+    assert report.jl_rhs.max() > 1e200
+    assert np.all(report.mu_bound <= report.jl_rhs * (1 + 1e-9))
     assert np.all(report.criterion_lhs >= report.criterion_rhs * (1 - 1e-9))
 
 
