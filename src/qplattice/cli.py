@@ -62,6 +62,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOCONV = 2
 EXIT_INVARIANT = 3
+_REQUIRED = object()
 
 
 # ── config plumbing ──────────────────────────────────────────────────────────
@@ -80,6 +81,27 @@ def _load_config(path):
     if not isinstance(cfg, dict):
         raise ArgumentError("config root must be a JSON object")
     return cfg
+
+
+def _read(block, key, kind, default=_REQUIRED):
+    """``kind(block[key])``, or ``default`` when the key is absent.  A
+    missing required key, or a value ``kind`` rejects (a ``dict`` or
+    ``str`` entry must already be one), is a config error."""
+    if key not in block:
+        if default is _REQUIRED:
+            raise ArgumentError("config needs the %r key" % (key,))
+        return default
+    value = block[key]
+    try:
+        if kind in (dict, str) and not isinstance(value, kind):
+            raise TypeError("expected a %s" % kind.__name__)
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError("bad %s value %.80r: %s" % (key, value, exc)) from exc
+
+
+def _ints(values):
+    return tuple(int(v) for v in values)
 
 
 def _parse_grid(block, what="grid"):
@@ -103,9 +125,7 @@ def _parse_grid(block, what="grid"):
 
 
 def _line_from(cfg):
-    if "operator" not in cfg:
-        raise ArgumentError("config needs an \"operator\" block")
-    return operator_from_config(cfg["operator"])
+    return operator_from_config(_read(cfg, "operator", dict))
 
 
 def _strip_from(cfg):
@@ -224,8 +244,8 @@ def _run_grid(row, tasks, jobs, not_converged=_NOT_CONVERGED):
 def _orbit_counts(cfg):
     """Orbit steps and phase samples of a QR sweep; a count below one is a
     config error, not a failed row."""
-    steps = int(cfg.get("steps", 10000))
-    samples = int(cfg.get("samples", DEFAULT_SAMPLES))
+    steps = _read(cfg, "steps", int, 10000)
+    samples = _read(cfg, "samples", int, DEFAULT_SAMPLES)
     if steps < 1 or samples < 1:
         raise ArgumentError("steps and samples must be at least one")
     return steps, samples
@@ -242,8 +262,8 @@ def _lyapunov_row(cfg, energy):
 def _splitting_row(cfg, energy):
     split = detect_splitting(
         transfer_cocycle(_strip_from(cfg), energy),
-        float(cfg.get("theta", 0.0)),
-        int(cfg.get("window", DEFAULT_WINDOW)),
+        _read(cfg, "theta", float, 0.0),
+        _read(cfg, "window", int, DEFAULT_WINDOW),
     )
     gap = min(split.certificates) if split.certificates else np.nan
     return [
@@ -290,8 +310,8 @@ def _cmd_ids(cfg, args):
     table = ids(
         op,
         energies,
-        n_sites=int(cfg.get("truncation", DEFAULT_TRUNCATION)),
-        samples=int(cfg.get("samples", DEFAULT_THETA_SAMPLES)),
+        n_sites=_read(cfg, "truncation", int, DEFAULT_TRUNCATION),
+        samples=_read(cfg, "samples", int, DEFAULT_THETA_SAMPLES),
     )
     rows = [[e, v] for e, v in zip(table.energies, table.values)]
     path = _write_csv(_out_path(args, "ids.csv"), ["E", "N"], rows,
@@ -302,18 +322,15 @@ def _cmd_ids(cfg, args):
 
 def _cmd_weyl(cfg, args):
     strip = _strip_from(cfg)
-    if "energy" not in cfg:
-        raise ArgumentError("weyl needs an \"energy\" key")
-    eps_grid = None
-    if "eps_grid" in cfg:
-        eps_grid = tuple(_parse_grid(cfg["eps_grid"], "eps_grid"))
+    eps_grid = (tuple(_parse_grid(cfg["eps_grid"], "eps_grid"))
+                if "eps_grid" in cfg else None)
     report = spectral_bound(
         strip,
-        float(cfg["energy"]),
+        _read(cfg, "energy", float),
         eps_grid=eps_grid,
-        theta=float(cfg.get("theta", 0.0)),
-        dims=tuple(cfg["dims"]) if "dims" in cfg else None,
-        n_window=int(cfg.get("window", DEFAULT_WINDOW)),
+        theta=_read(cfg, "theta", float, 0.0),
+        dims=_read(cfg, "dims", _ints, None),
+        n_window=_read(cfg, "window", int, DEFAULT_WINDOW),
     )
     header = ["eps", "trace_im", "mu_bound", "growth_bound",
               "criterion_lhs", "criterion_rhs"]
@@ -347,7 +364,7 @@ def _cmd_thouless(cfg, args):
     # a bad count is a config error here; inside a row it would fail the row
     _orbit_counts(cfg)
     energies = _parse_grid(cfg.get("grid"))
-    ids_block = cfg.get("ids", {})
+    ids_block = _read(cfg, "ids", dict, {})
     if "values" in ids_block or "count" in ids_block:
         table_grid = _parse_grid(ids_block, "ids grid")
     else:
@@ -356,8 +373,8 @@ def _cmd_thouless(cfg, args):
     table = ids(
         op,
         table_grid,
-        n_sites=int(ids_block.get("truncation", DEFAULT_TRUNCATION)),
-        samples=int(ids_block.get("samples", DEFAULT_THETA_SAMPLES)),
+        n_sites=_read(ids_block, "truncation", int, DEFAULT_TRUNCATION),
+        samples=_read(ids_block, "samples", int, DEFAULT_THETA_SAMPLES),
     )
     # an energy the table cannot serve (next to its mass) fails only its row
     rows, errors, code = _run_grid(_thouless_row, [(cfg, table, e) for e in energies],
@@ -371,31 +388,27 @@ def _cmd_thouless(cfg, args):
 
 def _cmd_subordinacy(cfg, args):
     op = _line_from(cfg)
-    if "energy" not in cfg:
-        raise ArgumentError("subordinacy needs an \"energy\" key")
-    radii = tuple(int(r) for r in cfg.get("radii", DEFAULT_RADII))
+    energy = _read(cfg, "energy", float)
+    radii = _read(cfg, "radii", _ints, DEFAULT_RADII)
     if not radii:
         raise ArgumentError("empty radii grid")
-    solution = cfg.get("solution", {"type": "cosine_root"})
+    solution = _read(cfg, "solution", dict, {"type": "cosine_root"})
     kind = solution.get("type")
     if kind == "cosine_root":
         n_max = 2 * max(radii) + op.hopping.range + 8
         u, _root = cosine_root_state(op, n_max)
         first = -n_max
     elif kind == "values":
-        try:
-            u = np.asarray(solution["values"], dtype=float)
-            first = int(solution["first_site"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArgumentError("bad solution block: %s" % (exc,)) from exc
+        u = _read(solution, "values", partial(np.asarray, dtype=float))
+        first = _read(solution, "first_site", int)
     else:
         raise ArgumentError("solution type must be cosine_root or values")
     report = subordinacy_probe(
         op,
-        float(cfg["energy"]),
+        energy,
         u,
         r_grid=radii,
-        alpha=float(cfg.get("alpha_exponent", 1.0)),
+        alpha=_read(cfg, "alpha_exponent", float, 1.0),
         first_site=first,
     )
     path = _write_json(_out_path(args, "subordinacy.json"),
@@ -406,12 +419,10 @@ def _cmd_subordinacy(cfg, args):
 
 def _cmd_duality(cfg, args):
     op = _line_from(cfg)
-    if "energy" not in cfg:
-        raise ArgumentError("duality needs an \"energy\" key")
-    energy = float(cfg["energy"])
-    x = float(cfg.get("x", 0.0))
-    truncation = int(cfg.get("truncation", 2001))
-    window = int(cfg.get("window", 512))
+    energy = _read(cfg, "energy", float)
+    x = _read(cfg, "x", float, 0.0)
+    truncation = _read(cfg, "truncation", int, 2001)
+    window = _read(cfg, "window", int, 512)
     if window < op.hopping.range:
         raise ArgumentError("window must reach the hopping range")
     if truncation < 2 * window + 1:
@@ -450,7 +461,7 @@ def _cmd_duality(cfg, args):
 
 
 def _cmd_verify(cfg, args):
-    manifest = run_corpus(cfg.get("filter"))
+    manifest = run_corpus(_read(cfg, "filter", str, None))
     path = _write_json(_out_path(args, "verify.json"), manifest, cfg, args)
     for entry in manifest["entries"]:
         print("%-20s %s" % (entry["name"], "ok" if entry["ok"] else "FAIL"))

@@ -2,9 +2,13 @@
 
 A cocycle over an irrational rotation is split into fast-expanding,
 neutral, and fast-contracting frames by windowed subspace iteration.
-The frames feed the vertical-angle tests, the restricted-growth
-envelopes, and the telescoping / center-variation bounds used by the
-spectral estimates.
+Two nested frames are converged per phase: one pushed forward along
+the orbit, whose leading columns span the expanding directions and
+whose full span adds the neutral ones, and one on the inverse cocycle,
+likewise holding the contracting and then the neutral directions.  The
+neutral frame is their intersection.  The frames feed the
+vertical-angle tests, the restricted-growth envelopes, and the
+telescoping / center-variation bounds used by the spectral estimates.
 """
 
 import numpy as np
@@ -63,10 +67,6 @@ class Splitting:
     window: int
 
 
-def _empty_frame(dim):
-    return np.zeros((dim, 0), dtype=complex)
-
-
 def _random_frame(dim, n_cols, seed):
     rng = np.random.default_rng(seed)
     return orthonormal_columns(
@@ -96,53 +96,22 @@ def _subspace_gap(fa, fb):
     return float(np.sin(principal_angles(fa, fb)[-1]))
 
 
-def _center_complement(cocycle, theta, fast, slow, d_center):
-    """Neutral frame: either the pairing-orthogonal complement of the
-    fast/slow sum (form-preserving cocycles) or the intersection of the
-    slow-forward and slow-backward windows."""
-    dim = cocycle.dim
-    if d_center == dim:
-        return np.eye(dim, dtype=complex)
-    joint = np.hstack([fast, slow])
-    preserves = False
-    if cocycle.form is not None:
-        probe = cocycle.matrix(theta)
-        preserves = form_defect(probe, cocycle.form) <= 1e-8
-    if preserves:
-        frame = sla.null_space(joint.conj().T @ cocycle.form)
-    else:
-        n_window = DEFAULT_WINDOW
-        h = fast.shape[1]
-        slow_fwd = _converged_frame(cocycle.inverse(), theta, n_window, dim - h, seed=5)
-        slow_bwd = _converged_frame(cocycle, theta, n_window, dim - h, seed=6)
-        frame = _intersect_frames(slow_fwd, slow_bwd)
-    if frame.shape[1] != d_center:
-        raise ConvergenceError(
-            "neutral complement has dimension %d, expected %d"
-            % (frame.shape[1], d_center)
-        )
-    return orthonormal_columns(frame)
-
-
 def _frames_at(cocycle, theta, dims, n_window):
+    # Orthogonal iteration nests: the leading k columns of a converged
+    # frame span its k fastest directions.
     d_u, d_c, d_s = dims
     dim = cocycle.dim
-    fast = (
-        _converged_frame(cocycle, theta, n_window, d_u, seed=1)
-        if d_u
-        else _empty_frame(dim)
-    )
-    slow = (
-        _converged_frame(cocycle.inverse(), theta, n_window, d_s, seed=2)
-        if d_s
-        else _empty_frame(dim)
-    )
-    center = (
-        _center_complement(cocycle, theta, fast, slow, d_c)
-        if d_c
-        else _empty_frame(dim)
-    )
-    return fast, center, slow
+    if d_c == dim:
+        eye = np.eye(dim, dtype=complex)
+        return eye[:, :0], eye, eye[:, :0]
+    fwd = _converged_frame(cocycle, theta, n_window, d_u + d_c, seed=1)
+    bwd = _converged_frame(cocycle.inverse(), theta, n_window, d_s + d_c, seed=2)
+    center = _intersect_frames(fwd, bwd)
+    if center.shape[1] != d_c:
+        raise ConvergenceError(
+            "neutral frame has dimension %d, expected %d" % (center.shape[1], d_c)
+        )
+    return fwd[:, :d_u], center, bwd[:, :d_s]
 
 
 def compute_splitting(cocycle, theta, dims, n_window=DEFAULT_WINDOW):
@@ -199,21 +168,17 @@ def _certified_splitting(cocycle, theta, dims, n_window, rates):
             )
         certificates.append(gap)
 
-    fast, center, slow = _frames_at(cocycle, theta, dims, n_window)
+    fast, center, slow = frames = _frames_at(cocycle, theta, dims, n_window)
 
     # One-step invariance: pushing each frame through the fiber matrix
     # must land on the frame converged independently at the next phase.
-    if 0 < d_c < dim or d_u:
+    if d_c < dim:
         a = cocycle.matrix(theta)
-        next_fast, next_center, next_slow = _frames_at(
-            cocycle, theta + cocycle.alpha, dims, n_window
+        following = _frames_at(cocycle, theta + cocycle.alpha, dims, n_window)
+        residual = max(
+            _subspace_gap(orthonormal_columns(a @ frame), target)
+            for frame, target in zip(frames, following) if frame.shape[1]
         )
-        residual = 0.0
-        for frame, target in ((fast, next_fast), (center, next_center), (slow, next_slow)):
-            if frame.shape[1] == 0 or frame.shape[1] == dim:
-                continue
-            pushed = orthonormal_columns(a @ frame)
-            residual = max(residual, _subspace_gap(pushed, target))
         if residual > INVARIANCE_TOL:
             raise ConvergenceError(
                 "splitting frames not invariant: residual %.3e exceeds %.0e"
@@ -297,15 +262,10 @@ def critical_set_test(splitting, floor=1e-2):
 # ── restricted growth along the neutral frame ────────────────────────────────
 
 
-def center_growth(cocycle, splitting, n_max):
-    """Running envelope of the squared restricted norms on the neutral
-    frame.
-
-    Returns the sequence C(0), ..., C(n_max) with
-    C(n) = max(1, max_{s <= n} ||A_s restricted to the neutral frame||^2),
-    computed by transporting the frame with per-step re-orthonormalization.
-    On ``cocycle.inverse()`` the same splitting, whose neutral frame serves
-    both directions, gives it along the steps A(theta - n alpha)^-1.
+def _neutral_steps(cocycle, splitting, n_max):
+    """Yield ``(n, q, log_scale, rprod)`` after each step n = 1 .. n_max
+    of the splitting's neutral frame along the orbit, with
+    ``exp(log_scale) * q @ rprod`` the n-step product on that frame.
 
     When hyperbolic directions coexist with the neutral ones, rounding
     noise in the transported frame is amplified at the top rate and would
@@ -313,20 +273,9 @@ def center_growth(cocycle, splitting, n_max):
     freshly converged neutral frame every few steps (spacing chosen so
     the amplification between rebasings stays harmless) and the change of
     basis is absorbed into the accumulated restricted product.
-
-    Raises
-    ------
-    ArgumentError
-        If the splitting has no neutral directions.
-    ConvergenceError
-        If the transported frame drifts off the invariant one.
     """
-    d_c = splitting.dims[1]
-    dim = cocycle.dim
-    if d_c == 0:
-        raise ArgumentError("splitting has no neutral directions")
     theta, alpha = splitting.theta, cocycle.alpha
-    mixed = d_c < dim
+    mixed = splitting.dims[1] < cocycle.dim
     if mixed:
         spread = float(splitting.rates[0] - splitting.rates[-1])
         rebase_every = int(np.clip(8.0 / max(spread, 1e-2), 1, 256))
@@ -335,12 +284,9 @@ def center_growth(cocycle, splitting, n_max):
                                    splitting.window))
     else:
         rebase_every = n_max + 1  # pure rotation-type: nothing to contaminate
-        fresh_window = splitting.window
     q = splitting.center
-    rprod = np.eye(d_c, dtype=complex)
+    rprod = np.eye(splitting.dims[1], dtype=complex)
     log_scale = 0.0
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
     n = 0
     while n < n_max:
         # one segment of steps n+1 .. end, then a rebasing when mixed
@@ -353,13 +299,7 @@ def center_growth(cocycle, splitting, n_max):
                 raise ConvergenceError("restricted product degenerated at step %d" % n)
             log_scale += np.log(scale)
             rprod = rprod / scale
-            log_norm = log_scale + np.log(np.linalg.norm(rprod, 2))
-            if log_norm > 350.0:
-                raise ConvergenceError(
-                    "neutral restricted growth overflowed at step %d; "
-                    "the certificates were unreliable" % n
-                )
-            out[n] = max(out[n - 1], float(np.exp(2.0 * log_norm)))
+            yield n, q, log_scale, rprod
         if mixed:
             _, fresh, _ = _frames_at(
                 cocycle, theta + n * alpha, splitting.dims, fresh_window
@@ -368,9 +308,40 @@ def center_growth(cocycle, splitting, n_max):
                 raise ConvergenceError(
                     "transported neutral frame drifted off the invariant one"
                 )
-            transition = fresh.conj().T @ q
-            rprod = transition @ rprod
+            rprod = (fresh.conj().T @ q) @ rprod
             q = fresh
+
+
+def center_growth(cocycle, splitting, n_max):
+    """Running envelope of the squared restricted norms on the neutral
+    frame.
+
+    Returns the sequence C(0), ..., C(n_max) with
+    C(n) = max(1, max_{s <= n} ||A_s restricted to the neutral frame||^2),
+    computed by transporting the frame with per-step re-orthonormalization.
+    On ``cocycle.inverse()`` the same splitting, whose neutral frame serves
+    both directions, gives it along the steps A(theta - n alpha)^-1.
+
+    Raises
+    ------
+    ArgumentError
+        If the splitting has no neutral directions.
+    ConvergenceError
+        If the restricted product degenerates, overflows or drifts off
+        the invariant neutral frame.
+    """
+    if splitting.dims[1] == 0:
+        raise ArgumentError("splitting has no neutral directions")
+    out = np.empty(n_max + 1)
+    out[0] = 1.0
+    for n, _, log_scale, rprod in _neutral_steps(cocycle, splitting, n_max):
+        log_norm = log_scale + np.log(np.linalg.norm(rprod, 2))
+        if log_norm > 350.0:
+            raise ConvergenceError(
+                "neutral restricted growth overflowed at step %d; "
+                "the certificates were unreliable" % n
+            )
+        out[n] = max(out[n - 1], float(np.exp(2.0 * log_norm)))
     return out
 
 
@@ -562,24 +533,18 @@ def center_variation_check(strip, energy, theta=0.0,
     records = []
     lipschitz = {}
     qc0, _ = stations[0]
-    orbit = theta + alpha * np.arange(checkpoints[-1])
 
     for eps in eps_grid:
         shifted = transfer_cocycle(strip, energy + 1j * eps) if eps else base
-        qc_eps = compute_splitting(shifted, theta, dims).center if eps else qc0
-        p_mat = qc0.conj().T @ stations[0][1] @ qc_eps
+        split_eps = compute_splitting(shifted, theta, dims) if eps else splitting
+        p_mat = qc0.conj().T @ stations[0][1] @ split_eps.center
         if np.linalg.cond(p_mat) > PROJECTION_COND_MAX:
             raise ConvergenceError("projection ill-conditioned at the base phase")
         p_inv = np.linalg.inv(p_mat)
 
-        rprod = np.eye(d_c, dtype=complex)
-        log_scale = 0.0
         values = {}
-        for n, (q, r) in enumerate(transport(shifted, qc_eps, orbit), start=1):
-            rprod = r @ rprod
-            scale = np.linalg.norm(rprod)
-            log_scale += np.log(scale)
-            rprod = rprod / scale
+        for n, q, log_scale, rprod in _neutral_steps(shifted, split_eps,
+                                                    checkpoints[-1]):
             if n in stations:
                 qc_n, proj_n = stations[n]
                 coord = qc_n.conj().T @ proj_n @ q @ rprod @ p_inv

@@ -77,3 +77,18 @@ def rate_windows(monkeypatch):
 
     monkeypatch.setattr(splitting, "finite_window_rates", counted)
     return calls
+
+
+@pytest.fixture
+def converged_frames(monkeypatch):
+    """Arguments of every _converged_frame call the splitting module makes
+    during the test: one entry per frame converged by subspace iteration."""
+    calls = []
+    real = splitting._converged_frame
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(splitting, "_converged_frame", counted)
+    return calls

@@ -156,6 +156,15 @@ def test_config_errors(tmp_path):
         ("ids", {"grid": {"values": [-1.0, 1.0]}, "truncation": 64, "samples": 0}),
         ("duality", {"energy": 0.5, "truncation": 101, "window": 0}),
         ("subordinacy", {"energy": 0.0, "radii": [0, 16]}),
+        # values of the wrong type or form
+        ("lyapunov", {"grid": {"values": [3.0]}, "steps": "many"}),
+        ("splitting", {"grid": {"values": [3.0]}, "window": None}),
+        ("weyl", {"energy": "x"}),
+        ("thouless", {"grid": {"values": [3.0]}, "ids": 5}),
+        ("subordinacy", {"energy": 0.0, "solution": []}),
+        ("duality", {"energy": 0.5, "x": "a"}),
+        ("ids", {"grid": {"values": [-1.0, 1.0]}, "samples": [4]}),
+        ("verify", {"filter": 3}),
     ]:
         path = write_config(tmp_path, dict(cfg, operator=FREE_OPERATOR), "sizes.json")
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 1, cfg

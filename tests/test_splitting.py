@@ -4,17 +4,19 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 from conftest import random_hermitian, random_line, random_strip
 from qplattice.cocycle import transfer_cocycle
 from qplattice.corpus import spectrum_sample
 from qplattice.linalg import ArgumentError, ConvergenceError, InvariantError, \
-    eigenvalues_banded
+    eigenvalues_banded, principal_angles
 from qplattice.operators import GOLDEN_MEAN, StripOperator, almost_mathieu, \
     fold_to_strip, free_laplacian
 from qplattice.splitting import (
+    DEFAULT_WINDOW,
     INVARIANCE_TOL,
+    _converged_frame,
     center_growth,
     center_variation_check,
     compute_splitting,
@@ -44,6 +46,14 @@ def constant_strip():
     # constant blocks: one expanding, two neutral, one contracting direction
     return StripOperator(np.eye(2), lambda x: np.diag([3.0, 0.0]) + 0 * np.asarray(x)[..., None, None],
                          alpha=GOLDEN_MEAN)
+
+
+def mixed_strip():
+    # a folded range-2 line and a truncation eigenvalue at which its transfer
+    # cocycle splits into one expanding, two neutral and one contracting
+    # direction
+    line = random_line(np.random.default_rng(0), 2)
+    return fold_to_strip(line), np.sort(eigenvalues_banded(line.assemble_banded(400)))[200]
 
 
 # ── computing splittings ─────────────────────────────────────────────────────
@@ -79,13 +89,12 @@ def test_three_way_splitting_constant_strip():
 
 
 def test_detect_splitting_reads_one_rate_window(rate_windows):
-    line = random_line(np.random.default_rng(0), 2)
-    in_spectrum = np.sort(eigenvalues_banded(line.assemble_banded(400)))[200]
+    strip, in_spectrum = mixed_strip()
     cases = [
         (free_cocycle(3.0), (1, 0, 1)),
         (free_cocycle(0.0), (0, 2, 0)),
         (transfer_cocycle(constant_strip(), 0.0), (1, 2, 1)),
-        (transfer_cocycle(fold_to_strip(line), in_spectrum), (1, 2, 1)),
+        (transfer_cocycle(strip, in_spectrum), (1, 2, 1)),
     ]
     for cocycle, dims in cases:
         rate_windows.clear()
@@ -97,6 +106,38 @@ def test_detect_splitting_reads_one_rate_window(rate_windows):
         for field in fields(split):
             np.testing.assert_array_equal(getattr(split, field.name),
                                           getattr(reference, field.name))
+
+
+def test_neutral_frame_matches_complement_and_four_frame_intersection():
+    # two independent evaluators of the neutral frame: at a real energy
+    # the pairing complement of the expanding and contracting frames; at
+    # any energy the intersection of two frames of width dim - 1, each
+    # converged from its own seed
+    strip, energy = mixed_strip()
+    cocycle = transfer_cocycle(strip, energy)
+    for theta in (0.0, 0.37):
+        split = compute_splitting(cocycle, theta, (1, 2, 1))
+        joint = np.hstack([split.unstable, split.stable])
+        reference = null_space(joint.conj().T @ cocycle.form)
+        assert principal_angles(split.center, reference).max() < 1e-12
+    shifted = transfer_cocycle(strip, energy + 1e-3j)
+    split = compute_splitting(shifted, 0.0, (1, 2, 1))
+    center_stable = _converged_frame(shifted.inverse(), 0.0, DEFAULT_WINDOW, 3, seed=5)
+    center_unstable = _converged_frame(shifted, 0.0, DEFAULT_WINDOW, 3, seed=6)
+    coeff = null_space(np.hstack([center_stable, -center_unstable]))
+    reference = center_stable @ coeff[:3]
+    assert principal_angles(split.center, reference).max() < 1e-12
+
+
+def test_splitting_converges_one_frame_per_direction(converged_frames):
+    # a forward and a backward frame at the base phase and at the next
+    # phase of the invariance check, at real and complex energies alike
+    strip, energy = mixed_strip()
+    for shift in (0.0, 1e-3j):
+        converged_frames.clear()
+        split = compute_splitting(transfer_cocycle(strip, energy + shift), 0.0, (1, 2, 1))
+        assert split.center.shape == (4, 2)
+        assert len(converged_frames) == 4
 
 
 def test_splitting_frames_are_invariant():
@@ -286,6 +327,18 @@ def test_center_variation_converges_each_splitting_once(rate_windows):
                                     eps_grid=(0.0, 1e-4, 1e-3), n_max=256)
     assert report.checkpoints == (1, 2, 4, 8, 16, 32, 64, 128, 256)
     assert len(rate_windows) == 28
+
+
+def test_center_variation_on_mixed_splitting():
+    # hyperbolic and neutral directions together: the shifted products are
+    # rebased like the envelope, so rounding noise at the top rate neither
+    # breaks the zero-shift comparison nor inflates the fitted constant
+    strip, energy = mixed_strip()
+    report = center_variation_check(strip, energy, eps_grid=(0.0, 1e-4, 1e-3),
+                                    n_max=256)
+    assert report.dims == (1, 2, 1)
+    assert report.c_growth < 1.0
+    assert report.lipschitz_stable
 
 
 def test_center_variation_needs_neutral_frame():
