@@ -462,6 +462,8 @@ def _cmd_duality(cfg, args):
 
 def _cmd_verify(cfg, args):
     manifest = run_corpus(_read(cfg, "filter", str, None))
+    if not manifest["entries"]:
+        raise ArgumentError("filter %r matches no corpus entry" % cfg["filter"])
     path = _write_json(_out_path(args, "verify.json"), manifest, cfg, args)
     for entry in manifest["entries"]:
         print("%-20s %s" % (entry["name"], "ok" if entry["ok"] else "FAIL"))

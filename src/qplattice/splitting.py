@@ -2,11 +2,13 @@
 
 A cocycle over an irrational rotation is split into fast-expanding,
 neutral, and fast-contracting frames by windowed subspace iteration.
-Two nested frames are converged per phase: one pushed forward along
-the orbit, whose leading columns span the expanding directions and
-whose full span adds the neutral ones, and one on the inverse cocycle,
-likewise holding the contracting and then the neutral directions.  The
-neutral frame is their intersection.  The frames feed the
+Two nested frames are swept along an orbit: one pushed forward, whose
+leading columns span the expanding directions and whose full span adds
+the neutral ones, and one pulled back on the inverse cocycle, likewise
+holding the contracting and then the neutral directions.  Each attracts
+in its own direction of time, so one sweep each way gives both at every
+phase, and the neutral frame is their intersection (covariant Lyapunov
+vectors, as in Ginelli et al. 2007).  The frames feed the
 vertical-angle tests, the restricted-growth envelopes, and the
 telescoping / center-variation bounds used by the spectral estimates.
 """
@@ -24,7 +26,7 @@ from .linalg import (
     restriction_norm,
 )
 from .symplectic import form_defect, reverse_norm_constant
-from .cocycle import finite_window_rates, transfer_cocycle, transport
+from .cocycle import finite_window_rates, orbit_matrices, transfer_cocycle, transport
 
 DEFAULT_WINDOW = 128
 GAP_THRESHOLD = 1.01
@@ -74,15 +76,15 @@ def _random_frame(dim, n_cols, seed):
     )
 
 
-def _converged_frame(cocycle, theta, n_window, n_cols, seed):
-    # Converge onto the fastest-expanding image directions by pushing a
-    # random frame forward across the window ending at theta; on the
-    # inverse cocycle these are the most-contracted directions of the
-    # window starting at theta.
-    q = _random_frame(cocycle.dim, n_cols, seed)
-    for q, _ in transport(cocycle, q, theta + cocycle.alpha * np.arange(-n_window, 0)):
-        pass
-    return q
+def _carried_frames(cocycle, theta, n_window, n_steps, n_cols, seed):
+    # Push a random frame across the window ending at theta and on for
+    # n_steps more; it converges onto the fastest-expanding image
+    # directions (on the inverse cocycle, the most-contracted ones of the
+    # window starting there).  Returns the frames at theta + n alpha for
+    # n = 0 .. n_steps.
+    steps = transport(cocycle, _random_frame(cocycle.dim, n_cols, seed),
+                      theta + cocycle.alpha * np.arange(-n_window, n_steps))
+    return [q for n, (q, _) in enumerate(steps, 1 - n_window) if n >= 0]
 
 
 def _intersect_frames(fa, fb):
@@ -91,27 +93,28 @@ def _intersect_frames(fa, fb):
     return orthonormal_columns(fa @ coeff[: fa.shape[1]])
 
 
-def _subspace_gap(fa, fb):
-    # sin of the largest principal angle between nonempty equal-rank frames.
-    return float(np.sin(principal_angles(fa, fb)[-1]))
-
-
-def _frames_at(cocycle, theta, dims, n_window):
+def _frames_along(cocycle, theta, dims, n_window, n_steps=0):
+    # (expanding, neutral, contracting) frames at theta + n alpha for
+    # n = 0 .. n_steps, from one forward and one backward sweep.
     # Orthogonal iteration nests: the leading k columns of a converged
     # frame span its k fastest directions.
     d_u, d_c, d_s = dims
     dim = cocycle.dim
     if d_c == dim:
         eye = np.eye(dim, dtype=complex)
-        return eye[:, :0], eye, eye[:, :0]
-    fwd = _converged_frame(cocycle, theta, n_window, d_u + d_c, seed=1)
-    bwd = _converged_frame(cocycle.inverse(), theta, n_window, d_s + d_c, seed=2)
-    center = _intersect_frames(fwd, bwd)
-    if center.shape[1] != d_c:
-        raise ConvergenceError(
-            "neutral frame has dimension %d, expected %d" % (center.shape[1], d_c)
-        )
-    return fwd[:, :d_u], center, bwd[:, :d_s]
+        return [(eye[:, :0], eye, eye[:, :0])] * (n_steps + 1)
+    fwd = _carried_frames(cocycle, theta, n_window, n_steps, d_u + d_c, seed=1)
+    bwd = _carried_frames(cocycle.inverse(), theta + n_steps * cocycle.alpha,
+                          n_window, n_steps, d_s + d_c, seed=2)
+    frames = []
+    for f, b in zip(fwd, reversed(bwd)):
+        center = _intersect_frames(f, b)
+        if center.shape[1] != d_c:
+            raise ConvergenceError(
+                "neutral frame has dimension %d, expected %d" % (center.shape[1], d_c)
+            )
+        frames.append((f[:, :d_u], center, b[:, :d_s]))
+    return frames
 
 
 def compute_splitting(cocycle, theta, dims, n_window=DEFAULT_WINDOW):
@@ -168,15 +171,16 @@ def _certified_splitting(cocycle, theta, dims, n_window, rates):
             )
         certificates.append(gap)
 
-    fast, center, slow = frames = _frames_at(cocycle, theta, dims, n_window)
+    fast, center, slow = frames = _frames_along(cocycle, theta, dims, n_window)[0]
 
     # One-step invariance: pushing each frame through the fiber matrix
-    # must land on the frame converged independently at the next phase.
+    # must land on the frame converged independently at the next phase,
+    # up to the sin of the largest principal angle.
     if d_c < dim:
         a = cocycle.matrix(theta)
-        following = _frames_at(cocycle, theta + cocycle.alpha, dims, n_window)
+        following = _frames_along(cocycle, theta + cocycle.alpha, dims, n_window)[0]
         residual = max(
-            _subspace_gap(orthonormal_columns(a @ frame), target)
+            np.sin(principal_angles(orthonormal_columns(a @ frame), target)[-1])
             for frame, target in zip(frames, following) if frame.shape[1]
         )
         if residual > INVARIANCE_TOL:
@@ -267,49 +271,32 @@ def _neutral_steps(cocycle, splitting, n_max):
     of the splitting's neutral frame along the orbit, with
     ``exp(log_scale) * q @ rprod`` the n-step product on that frame.
 
-    When hyperbolic directions coexist with the neutral ones, rounding
-    noise in the transported frame is amplified at the top rate and would
-    eventually swamp the neutral growth, so the product is rebased onto a
-    freshly converged neutral frame every few steps (spacing chosen so
-    the amplification between rebasings stays harmless) and the change of
-    basis is absorbed into the accumulated restricted product.
+    The frame is not carried: each step maps the neutral frame at one
+    phase onto the one swept at the next and keeps the restricted step
+    ``q_n^H A q_(n-1)``.  Rounding off the neutral frame therefore never
+    enters the product to be amplified at the top rate, so no rebasing
+    onto fresh frames is needed; what the image leaves outside the next
+    frame is checked against the invariance tolerance instead.
     """
-    theta, alpha = splitting.theta, cocycle.alpha
-    mixed = splitting.dims[1] < cocycle.dim
-    if mixed:
-        spread = float(splitting.rates[0] - splitting.rates[-1])
-        rebase_every = int(np.clip(8.0 / max(spread, 1e-2), 1, 256))
-        gap_rate = float(np.log(min(splitting.certificates)))
-        fresh_window = int(np.clip(40.0 / max(gap_rate, 1e-6), 16,
-                                   splitting.window))
-    else:
-        rebase_every = n_max + 1  # pure rotation-type: nothing to contaminate
+    theta = splitting.theta
+    frames = _frames_along(cocycle, theta, splitting.dims, splitting.window, n_max)
+    mats = orbit_matrices(cocycle, theta + cocycle.alpha * np.arange(n_max))
     q = splitting.center
     rprod = np.eye(splitting.dims[1], dtype=complex)
     log_scale = 0.0
-    n = 0
-    while n < n_max:
-        # one segment of steps n+1 .. end, then a rebasing when mixed
-        end = min(n + rebase_every, n_max)
-        for q, r in transport(cocycle, q, theta + alpha * np.arange(n, end)):
-            n += 1
-            rprod = r @ rprod
-            scale = np.linalg.norm(rprod)
-            if scale == 0 or not np.isfinite(scale):
-                raise ConvergenceError("restricted product degenerated at step %d" % n)
-            log_scale += np.log(scale)
-            rprod = rprod / scale
-            yield n, q, log_scale, rprod
-        if mixed:
-            _, fresh, _ = _frames_at(
-                cocycle, theta + n * alpha, splitting.dims, fresh_window
-            )
-            if _subspace_gap(q, fresh) > INVARIANCE_TOL:
-                raise ConvergenceError(
-                    "transported neutral frame drifted off the invariant one"
-                )
-            rprod = (fresh.conj().T @ q) @ rprod
-            q = fresh
+    for n, (a, (_, center, _)) in enumerate(zip(mats, frames[1:]), start=1):
+        image = a @ q
+        q = center
+        step = q.conj().T @ image
+        if np.linalg.norm(image - q @ step) > INVARIANCE_TOL * np.linalg.norm(image):
+            raise ConvergenceError("neutral frame not invariant at step %d" % n)
+        rprod = step @ rprod
+        scale = np.linalg.norm(rprod)
+        if scale == 0 or not np.isfinite(scale):
+            raise ConvergenceError("restricted product degenerated at step %d" % n)
+        log_scale += np.log(scale)
+        rprod = rprod / scale
+        yield n, q, log_scale, rprod
 
 
 def center_growth(cocycle, splitting, n_max):
@@ -318,7 +305,8 @@ def center_growth(cocycle, splitting, n_max):
 
     Returns the sequence C(0), ..., C(n_max) with
     C(n) = max(1, max_{s <= n} ||A_s restricted to the neutral frame||^2),
-    computed by transporting the frame with per-step re-orthonormalization.
+    computed from the restricted one-step matrices between the neutral
+    frames swept along the orbit.
     On ``cocycle.inverse()`` the same splitting, whose neutral frame serves
     both directions, gives it along the steps A(theta - n alpha)^-1.
 
@@ -327,8 +315,8 @@ def center_growth(cocycle, splitting, n_max):
     ArgumentError
         If the splitting has no neutral directions.
     ConvergenceError
-        If the restricted product degenerates, overflows or drifts off
-        the invariant neutral frame.
+        If the restricted product degenerates or overflows, or a step
+        leaves the neutral frame.
     """
     if splitting.dims[1] == 0:
         raise ArgumentError("splitting has no neutral directions")

@@ -81,14 +81,14 @@ def rate_windows(monkeypatch):
 
 @pytest.fixture
 def converged_frames(monkeypatch):
-    """Arguments of every _converged_frame call the splitting module makes
-    during the test: one entry per frame converged by subspace iteration."""
+    """Arguments of every _carried_frames call the splitting module makes
+    during the test: one entry per frame swept by subspace iteration."""
     calls = []
-    real = splitting._converged_frame
+    real = splitting._carried_frames
 
     def counted(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(splitting, "_converged_frame", counted)
+    monkeypatch.setattr(splitting, "_carried_frames", counted)
     return calls

@@ -165,6 +165,7 @@ def test_config_errors(tmp_path):
         ("duality", {"energy": 0.5, "x": "a"}),
         ("ids", {"grid": {"values": [-1.0, 1.0]}, "samples": [4]}),
         ("verify", {"filter": 3}),
+        ("verify", {"filter": "zzz"}),
     ]:
         path = write_config(tmp_path, dict(cfg, operator=FREE_OPERATOR), "sizes.json")
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 1, cfg

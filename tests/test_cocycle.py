@@ -35,8 +35,8 @@ from qplattice.operators import (
     free_laplacian,
 )
 from qplattice.splitting import (
-    _converged_frame,
-    _frames_at,
+    _carried_frames,
+    _frames_along,
     center_growth,
     detect_splitting,
 )
@@ -302,8 +302,8 @@ def reference_neutral_growth(cocycle, splitting, n_max, backward,
         log_norm = log_scale + np.log(np.linalg.norm(rprod, 2))
         out[n] = max(out[n - 1], float(np.exp(2.0 * log_norm)))
         if n % rebase_every == 0 or n == n_max:
-            _, fresh, _ = _frames_at(cocycle, theta + n * alpha, splitting.dims,
-                                     fresh_window)
+            _, fresh, _ = _frames_along(cocycle, theta + n * alpha, splitting.dims,
+                                        fresh_window)[0]
             rprod = (fresh.conj().T @ q) @ rprod
             q = fresh
     return out
@@ -355,8 +355,8 @@ def test_converged_frames_match_per_step_loops():
     cocycle = transfer_cocycle(strip, strip.norm_bound() + 1.0)
     n_window = chunk_edges(1, cocycle.dim)[-1]
     for backward in (False, True):
-        frame = _converged_frame(cocycle.inverse() if backward else cocycle,
-                                 0.37, n_window, 2, seed=3)
+        frame = _carried_frames(cocycle.inverse() if backward else cocycle,
+                                0.37, n_window, 0, 2, seed=3)[0]
         reference = reference_frame(cocycle, 0.37, n_window, 2, seed=3,
                                     backward=backward)
         assert principal_angles(frame, reference).max() < 1e-12
@@ -368,7 +368,9 @@ def test_neutral_growth_matches_per_step_loop_on_mixed_splitting():
     cocycle = transfer_cocycle(fold_to_strip(line), energy)
     split = detect_splitting(cocycle, 0.0)
     assert split.dims == (1, 2, 1)
-    # the rebasing schedule of center_growth on a mixed splitting
+    # the reference rebases its carried frame onto freshly converged ones
+    # on the schedule center_growth used before it stepped between swept
+    # neutral frames
     spread = float(split.rates[0] - split.rates[-1])
     rebase_every = int(np.clip(8.0 / max(spread, 1e-2), 1, 256))
     gap_rate = float(np.log(min(split.certificates)))

@@ -1,6 +1,6 @@
 """Dominated splittings, neutral growth, telescoping and variation bounds."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,13 +10,14 @@ from conftest import random_hermitian, random_line, random_strip
 from qplattice.cocycle import transfer_cocycle
 from qplattice.corpus import spectrum_sample
 from qplattice.linalg import ArgumentError, ConvergenceError, InvariantError, \
-    eigenvalues_banded, principal_angles
+    eigenvalues_banded, orthonormal_columns, principal_angles
 from qplattice.operators import GOLDEN_MEAN, StripOperator, almost_mathieu, \
     fold_to_strip, free_laplacian
 from qplattice.splitting import (
     DEFAULT_WINDOW,
     INVARIANCE_TOL,
-    _converged_frame,
+    _carried_frames,
+    _frames_along,
     center_growth,
     center_variation_check,
     compute_splitting,
@@ -122,8 +123,8 @@ def test_neutral_frame_matches_complement_and_four_frame_intersection():
         assert principal_angles(split.center, reference).max() < 1e-12
     shifted = transfer_cocycle(strip, energy + 1e-3j)
     split = compute_splitting(shifted, 0.0, (1, 2, 1))
-    center_stable = _converged_frame(shifted.inverse(), 0.0, DEFAULT_WINDOW, 3, seed=5)
-    center_unstable = _converged_frame(shifted, 0.0, DEFAULT_WINDOW, 3, seed=6)
+    center_stable = _carried_frames(shifted.inverse(), 0.0, DEFAULT_WINDOW, 0, 3, seed=5)[0]
+    center_unstable = _carried_frames(shifted, 0.0, DEFAULT_WINDOW, 0, 3, seed=6)[0]
     coeff = null_space(np.hstack([center_stable, -center_unstable]))
     reference = center_stable @ coeff[:3]
     assert principal_angles(split.center, reference).max() < 1e-12
@@ -138,6 +139,42 @@ def test_splitting_converges_one_frame_per_direction(converged_frames):
         split = compute_splitting(transfer_cocycle(strip, energy + shift), 0.0, (1, 2, 1))
         assert split.center.shape == (4, 2)
         assert len(converged_frames) == 4
+
+
+def test_swept_frames_match_frames_converged_at_each_phase():
+    # one sweep each way gives, at every phase of the orbit, the frames a
+    # window converges at that phase alone
+    strip, energy = mixed_strip()
+    for shift in (0.0, 1e-3j):
+        cocycle = transfer_cocycle(strip, energy + shift)
+        for c, steps in ((cocycle, (0, 1, 17, 128, 255, 256)), (cocycle.inverse(), (200,))):
+            swept = _frames_along(c, 0.0, (1, 2, 1), DEFAULT_WINDOW, 256)
+            assert len(swept) == 257
+            for n in steps:
+                single = _frames_along(c, n * c.alpha, (1, 2, 1), DEFAULT_WINDOW)[0]
+                for frame, reference in zip(swept[n], single):
+                    assert principal_angles(frame, reference).max() < 1e-11
+
+
+def test_neutral_growth_sweeps_one_frame_per_direction(converged_frames):
+    strip, energy = mixed_strip()
+    cocycle = transfer_cocycle(strip, energy)
+    split = compute_splitting(cocycle, 0.0, (1, 2, 1))
+    converged_frames.clear()
+    center_growth(cocycle, split, 256)
+    assert len(converged_frames) == 2
+
+
+def test_neutral_growth_raises_off_the_invariant_frame():
+    # a neutral frame tilted toward the expanding direction leaves the swept
+    # neutral frame at the first step
+    strip, energy = mixed_strip()
+    cocycle = transfer_cocycle(strip, energy)
+    split = compute_splitting(cocycle, 0.0, (1, 2, 1))
+    tilted = replace(split, center=orthonormal_columns(split.center + 1e-3 * split.unstable))
+    for c in (cocycle, cocycle.inverse()):
+        with pytest.raises(ConvergenceError, match="not invariant at step 1$"):
+            center_growth(c, tilted, 64)
 
 
 def test_splitting_frames_are_invariant():
@@ -329,14 +366,20 @@ def test_center_variation_converges_each_splitting_once(rate_windows):
     assert len(rate_windows) == 28
 
 
-def test_center_variation_on_mixed_splitting():
-    # hyperbolic and neutral directions together: the shifted products are
-    # rebased like the envelope, so rounding noise at the top rate neither
-    # breaks the zero-shift comparison nor inflates the fitted constant
+def test_center_variation_on_mixed_splitting(converged_frames):
+    # hyperbolic and neutral directions together: the shifted products step
+    # between swept neutral frames like the envelope, so rounding noise at
+    # the top rate neither breaks the zero-shift comparison nor inflates the
+    # fitted constant
     strip, energy = mixed_strip()
     report = center_variation_check(strip, energy, eps_grid=(0.0, 1e-4, 1e-3),
                                     n_max=256)
     assert report.dims == (1, 2, 1)
+    # 4 + 4 frames for detect_splitting (its (2, 0, 2) candidate converges
+    # frames before failing the invariance check), 4 per splitting at the 9
+    # checkpoints, the 16 Lipschitz probes and the 2 shifted energies, and
+    # one sweep each way for the envelope and for each eps
+    assert len(converged_frames) == 124
     assert report.c_growth < 1.0
     assert report.lipschitz_stable
 

@@ -19,7 +19,7 @@ from qplattice.operators import (
     free_laplacian,
     operator_from_config,
 )
-from qplattice.splitting import _converged_frame
+from qplattice.splitting import _carried_frames
 from qplattice.weyl import (
     GRAPH_STABLE_TOL,
     GRAPH_WINDOW_MAX,
@@ -138,7 +138,7 @@ def _restarted_frame(cocycle, theta, n_cols):
     prev = None
     n = GRAPH_WINDOW_START
     while n <= GRAPH_WINDOW_MAX:
-        frame = _converged_frame(cocycle, theta, n, n_cols, seed=11)
+        frame = _carried_frames(cocycle, theta, n, 0, n_cols, seed=11)[0]
         if prev is not None and np.sin(principal_angles(prev, frame)[-1]) < GRAPH_STABLE_TOL:
             return frame, n
         prev = frame
