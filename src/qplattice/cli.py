@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import is_dataclass, asdict, replace
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
@@ -175,22 +175,17 @@ def _write_csv(path, header, rows, errors, cfg, args):
 
 
 def _jsonable(obj):
-    if is_dataclass(obj):
-        return _jsonable(asdict(obj))
+    # numpy scalars become the Python types json.dump accepts
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     return obj
 
 

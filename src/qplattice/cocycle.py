@@ -44,9 +44,9 @@ ORBIT_CHUNK_ENTRIES = 2 ** 13
 # times the rounding unit (CHANGES.md records the error against KAPPA).
 KAPPA = 1e3
 
-# Block length, in steps, from which `_window_frames` keeps its products;
-# the finer products of a block that fails its certificate are rebuilt
-# from the block's own stretch of the orbit.
+# Block length, in steps, from which a `_Segment` keeps its products; the
+# finer products of a block that fails its certificate are rebuilt from
+# the block's own stretch of the orbit.
 PRODUCT_FLOOR = 64
 
 
@@ -277,29 +277,6 @@ class _Segment:
             offset, level = self._finer[0], self._finer[1][half.bit_length() - 1]
         k = (start - offset) // half
         return [(start, half, level[k].copy()), (start + half, half, level[k + 1].copy())]
-
-
-def _window_frames(cocycle, q, theta, n_start, n_max):
-    """Yield ``(n, frame)`` for the windows n = n_start, 2 n_start, ... up to
-    n_max: the frame ``q`` pushed forward across the n steps that end at
-    ``theta``, as the per-step ``transport`` would carry it.  On the inverse
-    cocycle that pulls the frame back across the n steps of the original
-    orbit that start at ``theta``.
-
-    Each doubling builds the product tree of its new far half once and keeps
-    every earlier one.  The frame starts at the far end and crosses each
-    tree by its largest blocks whose certificate holds (see ``KAPPA``),
-    down to single transport steps.
-    """
-    segments = []
-    done, n = 0, n_start
-    while n <= n_max:
-        segments.append(_Segment(cocycle, theta + cocycle.alpha * np.arange(-n, -done)))
-        frame = q
-        for segment in reversed(segments):
-            frame = segment.carry(frame)
-        yield n, frame
-        done, n = n, 2 * n
 
 
 def _qr_engine(cocycle, phases, n_steps, top):

@@ -40,7 +40,7 @@ CUBIC_TAIL_CUT = 64
 def spectrum_sample(op, count, n_sites=FIBONACCI_SITES, lo=0.1, hi=0.9):
     """Energies sampled from the eigenvalues of a centered truncation,
     at evenly spaced quantiles of the interior of the spectrum."""
-    eigs = np.sort(eigenvalues_banded(op.assemble_banded(n_sites)))
+    eigs = eigenvalues_banded(op.assemble_banded(n_sites))
     idx = np.unique(np.round(np.linspace(lo, hi, count) * (len(eigs) - 1)).astype(int))
     return eigs[idx]
 

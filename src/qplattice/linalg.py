@@ -101,10 +101,8 @@ def solve_shifted_banded(ab_upper, z, rhs, tol=1e-10):
 # ── eigenvalue helpers ───────────────────────────────────────────────────────
 
 def eigenvalues_banded(ab_upper):
-    """All eigenvalues of a Hermitian matrix in banded upper storage."""
-    ab_upper = np.asarray(ab_upper)
-    if ab_upper.shape[0] == 2 and not np.iscomplexobj(ab_upper):
-        return sla.eigvalsh_tridiagonal(ab_upper[1], ab_upper[0, 1:])
+    """All eigenvalues, ascending, of a Hermitian matrix in banded upper
+    storage."""
     return sla.eig_banded(ab_upper, lower=False, eigvals_only=True)
 
 

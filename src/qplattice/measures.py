@@ -74,7 +74,7 @@ def ids(op, energies, n_sites=DEFAULT_TRUNCATION, samples=DEFAULT_THETA_SAMPLES)
     values = np.zeros(energies.size)
     for theta in phase_lattice(samples):
         ab = replace(op, theta=theta).assemble_banded(n_sites)
-        eigs = np.sort(eigenvalues_banded(ab))
+        eigs = eigenvalues_banded(ab)
         values += np.searchsorted(eigs, energies) / ab.shape[1]
     values /= samples
     return IdsTable(

@@ -374,10 +374,7 @@ class _FoldedPotential:
         m = np.zeros((k_width, k_width), dtype=complex)
         for i in range(k_width):
             for j in range(k_width):
-                if i != j:
-                    m[i, j] = w.coefficient(i - j)
-                else:
-                    m[i, j] = w.coefficient(0)
+                m[i, j] = w.coefficient(i - j)
         self.off_diag = m
 
     def __call__(self, phase):

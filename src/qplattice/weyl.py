@@ -11,7 +11,7 @@ carried across windows of GRAPH_WINDOW_START, twice that, ... steps until
 two successive frames agree to GRAPH_STABLE_TOL.  Each doubling adds the
 product tree of its new far half of the orbit to the cached trees of the
 earlier windows, and the frame crosses the window by certified block
-products (``cocycle._window_frames``), so no window is stepped again from
+products (``cocycle._Segment``), so no window is stepped again from
 scratch.
 """
 
@@ -25,7 +25,7 @@ from .linalg import (
     principal_angles,
     solve_shifted_banded,
 )
-from .cocycle import _window_frames, transfer_cocycle
+from .cocycle import _Segment, transfer_cocycle
 from .splitting import (
     DEFAULT_WINDOW,
     center_growth,
@@ -45,15 +45,22 @@ GRAPH_STABLE_TOL = 1e-11
 
 def _stabilized_frame(cocycle, theta, n_cols):
     # Frame of the decaying solutions and the window it settled at: the
-    # first window whose frame lies within GRAPH_STABLE_TOL of the frame of
-    # half that window.
+    # first window n = GRAPH_WINDOW_START, 2n, ... whose frame lies within
+    # GRAPH_STABLE_TOL of the frame of half that window.  Each window adds
+    # the product tree of its far half, the n/2 steps before the previous
+    # window, and the fixed start frame crosses every tree from the far end.
     start = _random_frame(cocycle.dim, n_cols, seed=11)
-    prev = None
-    for n, frame in _window_frames(cocycle, start, theta, GRAPH_WINDOW_START,
-                                   GRAPH_WINDOW_MAX):
+    segments, prev = [], None
+    done, n = 0, GRAPH_WINDOW_START
+    while n <= GRAPH_WINDOW_MAX:
+        segments.append(_Segment(cocycle, theta + cocycle.alpha * np.arange(-n, -done)))
+        frame = start
+        for segment in reversed(segments):
+            frame = segment.carry(frame)
         if prev is not None and np.sin(principal_angles(prev, frame)[-1]) < GRAPH_STABLE_TOL:
             return frame, n
         prev = frame
+        done, n = n, 2 * n
     raise ConvergenceError(
         "half-line solution space did not stabilize; the energy may sit "
         "inside the spectrum where no decaying solutions exist"

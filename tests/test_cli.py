@@ -127,6 +127,21 @@ def test_weyl_artifact(tmp_path):
         assert values[2] <= values[3] * (1 + 1e-9)
 
 
+def test_weyl_declared_dims_write_the_detected_rows(tmp_path):
+    cfg = {"operator": FREE_OPERATOR, "energy": 0.0,
+           "eps_grid": {"values": [0.1, 0.03]}}
+    configs = {"detected": cfg, "declared": dict(cfg, dims=[0, 2, 0])}
+    tables = {}
+    for name, payload in configs.items():
+        assert main(["weyl", "--config", write_config(tmp_path, payload, name + ".json"),
+                     "--out", str(tmp_path / name)]) == 0
+        tables[name] = read_table(tmp_path / name / "weyl.csv")
+    assert tables["declared"][:2] == tables["detected"][:2]
+    # only the footer differs: it carries the config digest
+    assert tables["declared"][2] == "# config=%s version=%s seed=0" % (
+        config_digest(configs["declared"]), __version__) != tables["detected"][2]
+
+
 def test_weyl_needs_a_neutral_direction(tmp_path):
     cfg = {"operator": FREE_OPERATOR, "energy": 3.0,
            "eps_grid": {"values": [0.1]}}

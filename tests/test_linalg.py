@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import random_hermitian
 from qplattice.linalg import (
@@ -88,9 +89,12 @@ def test_eigenvalues_banded_matches_dense():
     rng = np.random.default_rng(5)
     h, ab = banded_hermitian(rng, 50, 3)
     np.testing.assert_allclose(eigenvalues_banded(ab), np.linalg.eigvalsh(h), atol=1e-10)
-    # real tridiagonal fast path
+    # real tridiagonal: the band reduction copies the two diagonals and runs
+    # the same LAPACK routine as the tridiagonal solver, bit for bit
     t, tb = banded_hermitian(rng, 50, 1)
     t, tb = np.real(t), np.real(tb)
+    np.testing.assert_array_equal(eigenvalues_banded(tb),
+                                  sla.eigvalsh_tridiagonal(tb[1], tb[0, 1:]))
     np.testing.assert_allclose(eigenvalues_banded(tb), np.linalg.eigvalsh(t), atol=1e-10)
 
 

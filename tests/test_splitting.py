@@ -252,6 +252,16 @@ def test_center_growth_needs_neutral_directions():
         center_growth(free_cocycle(3.0), split, 10)
 
 
+def test_center_growth_raises_when_the_neutral_growth_overflows():
+    # energy 3 lies off the free spectrum: declared all neutral, the frame
+    # grows at the rate log(phi^2) per step, past e^350 at step 364
+    cocycle = free_cocycle(3.0)
+    split = compute_splitting(cocycle, 0.0, (0, 2, 0))
+    for c in (cocycle, cocycle.inverse()):
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            center_growth(c, split, 1000)
+
+
 # ── telescoping bound ────────────────────────────────────────────────────────
 
 def test_telescoping_pure_rotations():
@@ -303,6 +313,26 @@ def test_telescoping_unperturbed_chain():
     assert report.ok
     # with t = 0 the envelope collapses to constant times growth
     assert report.norm <= report.constant * report.growth + 1e-9
+
+
+def test_telescoping_walks_the_chain_once():
+    # one unperturbed and one perturbed link per step; the Lipschitz spot
+    # checks reuse the perturbed links
+    form = pairing_matrix(np.eye(1))
+    rng = np.random.default_rng(66)
+    angles = rng.uniform(0, 2 * np.pi, size=30)
+    calls = []
+
+    def family(t, j):
+        calls.append((t, j))
+        return rotation(angles[j - 1] + t)
+
+    report = telescoping_check(form, family, np.eye(2), lip=1.0, t=0.01,
+                               n_steps=30, samples=8)
+    assert report.ok
+    assert len(calls) == 2 * 30
+    assert sorted(calls) == sorted([(0.0, j) for j in range(1, 31)]
+                                   + [(0.01, j) for j in range(1, 31)])
 
 
 def test_telescoping_input_validation():

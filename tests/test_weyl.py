@@ -1,5 +1,7 @@
 """Boundary matrices, whole-line kernel, resolvent oracle, measure bounds."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,18 @@ def test_spectral_bound_converges_one_splitting(rate_windows):
     report = spectral_bound(FREE, 0.0, eps_grid=(1e-1, 3e-2))
     assert report.dims == (0, 2, 0)
     assert len(rate_windows) == 1
+
+
+def test_spectral_bound_with_declared_dims_matches_detection():
+    # the dims path converges the declared splitting instead of detecting one
+    line = almost_mathieu(0.5)
+    strip, energy = fold_to_strip(line), spectrum_sample(line, 8)[4]
+    detected = spectral_bound(strip, energy, eps_grid=(1e-1, 3e-2))
+    declared = spectral_bound(strip, energy, eps_grid=(1e-1, 3e-2), dims=(0, 2, 0))
+    assert detected.dims == (0, 2, 0)
+    for field in fields(detected):
+        np.testing.assert_array_equal(getattr(declared, field.name),
+                                      getattr(detected, field.name))
 
 
 def test_spectral_bound_needs_neutral_energy():
