@@ -132,6 +132,16 @@ def _strip_from(cfg):
     return fold_to_strip(_line_from(cfg))
 
 
+def _orbit_counts(cfg):
+    """Orbit steps and phase samples of a QR sweep; a count below one is a
+    config error, not a failed row."""
+    steps = _read(cfg, "steps", int, 10000)
+    samples = _read(cfg, "samples", int, DEFAULT_SAMPLES)
+    if steps < 1 or samples < 1:
+        raise ArgumentError("steps and samples must be at least one")
+    return steps, samples
+
+
 def _out_path(args, filename):
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -148,18 +158,15 @@ def _fmt(value):
     return "nan" if np.isnan(value) else format(value, ".17g")
 
 
-def _footer(cfg, args):
-    return "# config=%s version=%s seed=%d" % (
-        config_digest(cfg), __version__, args.seed,
-    )
+def _emit_csv(cfg, args, filename, header, rows, errors=None, code=EXIT_OK, note=""):
+    """Write an RFC-4180 CSV artifact, report it and return the exit code.
 
-
-def _write_csv(path, header, rows, errors, cfg, args):
-    """RFC-4180 CSV: header row, one row per grid point, provenance footer.
-
-    Rows shorter than the header are padded with nan (failed points); the
-    ``error`` column appears only when some point actually failed.
+    The CSV holds a header row, one row per grid point and a provenance
+    footer.  Rows shorter than the header are padded with nan (failed
+    points); the ``error`` column appears only when some point failed.
     """
+    path = _out_path(args, filename)
+    errors = errors or [""] * len(rows)
     has_errors = any(errors)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -170,8 +177,10 @@ def _write_csv(path, header, rows, errors, cfg, args):
             if has_errors:
                 out.append(err)
             writer.writerow(out)
-        writer.writerow([_footer(cfg, args)])
-    return path
+        writer.writerow(["# config=%s version=%s seed=%d"
+                         % (config_digest(cfg), __version__, args.seed)])
+    print("wrote %s (%d rows%s)" % (path, len(rows), note))
+    return code
 
 
 def _jsonable(obj):
@@ -189,7 +198,10 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path, payload, cfg, args):
+def _emit_json(cfg, args, filename, payload, code=EXIT_OK, note="", lines=()):
+    """Write a JSON artifact with its provenance, print ``lines``, report
+    the artifact and return the exit code."""
+    path = _out_path(args, filename)
     payload = dict(_jsonable(payload))
     payload["provenance"] = {
         "config": config_digest(cfg),
@@ -199,7 +211,10 @@ def _write_json(path, payload, cfg, args):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    for line in lines:
+        print(line)
+    print("wrote %s%s" % (path, note))
+    return code
 
 
 _NOT_CONVERGED = (ConvergenceError, np.linalg.LinAlgError)
@@ -236,30 +251,13 @@ def _run_grid(row, tasks, jobs, not_converged=_NOT_CONVERGED):
 # ── grid rows (module level: they must survive pickling) ─────────────────────
 
 
-def _orbit_counts(cfg):
-    """Orbit steps and phase samples of a QR sweep; a count below one is a
-    config error, not a failed row."""
-    steps = _read(cfg, "steps", int, 10000)
-    samples = _read(cfg, "samples", int, DEFAULT_SAMPLES)
-    if steps < 1 or samples < 1:
-        raise ArgumentError("steps and samples must be at least one")
-    return steps, samples
-
-
-def _lyapunov_row(cfg, energy):
-    steps, samples = _orbit_counts(cfg)
-    est = lyapunov_spectrum(
-        transfer_cocycle(_strip_from(cfg), energy), steps, samples=samples
-    )
+def _lyapunov_row(strip, steps, samples, energy):
+    est = lyapunov_spectrum(transfer_cocycle(strip, energy), steps, samples=samples)
     return [energy] + [float(x) for x in est.exponents] + [est.spread]
 
 
-def _splitting_row(cfg, energy):
-    split = detect_splitting(
-        transfer_cocycle(_strip_from(cfg), energy),
-        _read(cfg, "theta", float, 0.0),
-        _read(cfg, "window", int, DEFAULT_WINDOW),
-    )
+def _splitting_row(strip, theta, window, energy):
+    split = detect_splitting(transfer_cocycle(strip, energy), theta, window)
     gap = min(split.certificates) if split.certificates else np.nan
     return [
         energy,
@@ -272,9 +270,7 @@ def _splitting_row(cfg, energy):
     ]
 
 
-def _thouless_row(cfg, table, energy):
-    op = _line_from(cfg)
-    steps, samples = _orbit_counts(cfg)
+def _thouless_row(op, table, steps, samples, energy):
     lyap = upper_lyapunov_sum(
         companion_cocycle(op, energy), op.hopping.range, steps, samples=samples
     )[0]
@@ -284,35 +280,32 @@ def _thouless_row(cfg, table, energy):
 # ── commands ─────────────────────────────────────────────────────────────────
 
 
+def _ids_table(op, energies, block):
+    return ids(
+        op,
+        energies,
+        n_sites=_read(block, "truncation", int, DEFAULT_TRUNCATION),
+        samples=_read(block, "samples", int, DEFAULT_THETA_SAMPLES),
+    )
+
+
 def _cmd_lyapunov(cfg, args):
-    strip = _strip_from(cfg)  # validate once before forking
-    _orbit_counts(cfg)
+    strip = _strip_from(cfg)
+    steps, samples = _orbit_counts(cfg)
     energies = _parse_grid(cfg.get("grid"))
-    rows, errors, code = _run_grid(_lyapunov_row, [(cfg, e) for e in energies],
-                                   args.jobs)
+    rows, errors, code = _run_grid(
+        _lyapunov_row, [(strip, steps, samples, e) for e in energies], args.jobs
+    )
     header = (["E"]
               + ["L%d" % j for j in range(1, 2 * strip.width + 1)]
               + ["spread"])
-    path = _write_csv(_out_path(args, "lyapunov.csv"), header, rows, errors,
-                      cfg, args)
-    print("wrote %s (%d rows)" % (path, len(rows)))
-    return code
+    return _emit_csv(cfg, args, "lyapunov.csv", header, rows, errors, code)
 
 
 def _cmd_ids(cfg, args):
-    op = _line_from(cfg)
-    energies = _parse_grid(cfg.get("grid"))
-    table = ids(
-        op,
-        energies,
-        n_sites=_read(cfg, "truncation", int, DEFAULT_TRUNCATION),
-        samples=_read(cfg, "samples", int, DEFAULT_THETA_SAMPLES),
-    )
+    table = _ids_table(_line_from(cfg), _parse_grid(cfg.get("grid")), cfg)
     rows = [[e, v] for e, v in zip(table.energies, table.values)]
-    path = _write_csv(_out_path(args, "ids.csv"), ["E", "N"], rows,
-                      [""] * len(rows), cfg, args)
-    print("wrote %s (%d rows)" % (path, len(rows)))
-    return EXIT_OK
+    return _emit_csv(cfg, args, "ids.csv", ["E", "N"], rows)
 
 
 def _cmd_weyl(cfg, args):
@@ -334,30 +327,27 @@ def _cmd_weyl(cfg, args):
          report.criterion_lhs[i], report.criterion_rhs[i]]
         for i, eps in enumerate(report.eps_grid)
     ]
-    path = _write_csv(_out_path(args, "weyl.csv"), header, rows,
-                      [""] * len(rows), cfg, args)
-    print("wrote %s (%d rows; growth constant %.6g, criterion constant %.6g)"
-          % (path, len(rows), report.jl_constant, report.criterion_constant))
-    return EXIT_OK
+    note = ("; growth constant %.6g, criterion constant %.6g"
+            % (report.jl_constant, report.criterion_constant))
+    return _emit_csv(cfg, args, "weyl.csv", header, rows, note=note)
 
 
 def _cmd_splitting(cfg, args):
-    _strip_from(cfg)
+    strip = _strip_from(cfg)
     energies = _parse_grid(cfg.get("grid"))
-    rows, errors, code = _run_grid(_splitting_row, [(cfg, e) for e in energies],
-                                   args.jobs)
+    theta = _read(cfg, "theta", float, 0.0)
+    window = _read(cfg, "window", int, DEFAULT_WINDOW)
+    rows, errors, code = _run_grid(
+        _splitting_row, [(strip, theta, window, e) for e in energies], args.jobs
+    )
     header = ["E", "dim_unstable", "dim_center", "dim_stable", "gap",
               "angle_stable", "angle_center"]
-    path = _write_csv(_out_path(args, "splitting.csv"), header, rows, errors,
-                      cfg, args)
-    print("wrote %s (%d rows)" % (path, len(rows)))
-    return code
+    return _emit_csv(cfg, args, "splitting.csv", header, rows, errors, code)
 
 
 def _cmd_thouless(cfg, args):
     op = _line_from(cfg)
-    # a bad count is a config error here; inside a row it would fail the row
-    _orbit_counts(cfg)
+    steps, samples = _orbit_counts(cfg)
     energies = _parse_grid(cfg.get("grid"))
     ids_block = _read(cfg, "ids", dict, {})
     if "values" in ids_block or "count" in ids_block:
@@ -365,20 +355,14 @@ def _cmd_thouless(cfg, args):
     else:
         bound = 1.05 * op.norm_bound()
         table_grid = np.linspace(-bound, bound, 257)
-    table = ids(
-        op,
-        table_grid,
-        n_sites=_read(ids_block, "truncation", int, DEFAULT_TRUNCATION),
-        samples=_read(ids_block, "samples", int, DEFAULT_THETA_SAMPLES),
-    )
+    table = _ids_table(op, table_grid, ids_block)
     # an energy the table cannot serve (next to its mass) fails only its row
-    rows, errors, code = _run_grid(_thouless_row, [(cfg, table, e) for e in energies],
-                                   args.jobs, _NOT_CONVERGED + (ArgumentError,))
+    rows, errors, code = _run_grid(
+        _thouless_row, [(op, table, steps, samples, e) for e in energies],
+        args.jobs, _NOT_CONVERGED + (ArgumentError,),
+    )
     header = ["E", "exponent_sum", "residual"]
-    path = _write_csv(_out_path(args, "thouless.csv"), header, rows, errors,
-                      cfg, args)
-    print("wrote %s (%d rows)" % (path, len(rows)))
-    return code
+    return _emit_csv(cfg, args, "thouless.csv", header, rows, errors, code)
 
 
 def _cmd_subordinacy(cfg, args):
@@ -406,10 +390,9 @@ def _cmd_subordinacy(cfg, args):
         alpha=_read(cfg, "alpha_exponent", float, 1.0),
         first_site=first,
     )
-    path = _write_json(_out_path(args, "subordinacy.json"),
-                       asdict(report), cfg, args)
-    print("wrote %s (trend: %s)" % (path, report.trend))
-    return EXIT_OK if report.ok else EXIT_INVARIANT
+    return _emit_json(cfg, args, "subordinacy.json", asdict(report),
+                      EXIT_OK if report.ok else EXIT_INVARIANT,
+                      " (trend: %s)" % report.trend)
 
 
 def _cmd_duality(cfg, args):
@@ -450,36 +433,37 @@ def _cmd_duality(cfg, args):
         "truncation": truncation,
         "window": window,
     }
-    path = _write_json(_out_path(args, "duality.json"), payload, cfg, args)
-    print("wrote %s (dual energy %.12g, residual %.3e)" % (path, value, residual))
-    return EXIT_OK if residual <= DUALITY_RESIDUAL_TOL else EXIT_NOCONV
+    return _emit_json(cfg, args, "duality.json", payload,
+                      EXIT_OK if residual <= DUALITY_RESIDUAL_TOL else EXIT_NOCONV,
+                      " (dual energy %.12g, residual %.3e)" % (value, residual))
 
 
 def _cmd_verify(cfg, args):
     manifest = run_corpus(_read(cfg, "filter", str, None))
     if not manifest["entries"]:
         raise ArgumentError("filter %r matches no corpus entry" % cfg["filter"])
-    path = _write_json(_out_path(args, "verify.json"), manifest, cfg, args)
+    lines = []
     for entry in manifest["entries"]:
-        print("%-20s %s" % (entry["name"], "ok" if entry["ok"] else "FAIL"))
+        lines.append("%-20s %s" % (entry["name"], "ok" if entry["ok"] else "FAIL"))
         if not entry["ok"]:
-            for check in entry["checks"]:
-                if not check["ok"]:
-                    print("    %-28s value %.6g limit %.6g"
-                          % (check["label"], check["value"], check["limit"]))
-    print("wrote %s" % path)
-    return EXIT_OK if manifest["ok"] else EXIT_INVARIANT
+            lines.extend("    %-28s value %.6g limit %.6g"
+                         % (check["label"], check["value"], check["limit"])
+                         for check in entry["checks"] if not check["ok"])
+    return _emit_json(cfg, args, "verify.json", manifest,
+                      EXIT_OK if manifest["ok"] else EXIT_INVARIANT, lines=lines)
 
 
 COMMANDS = {
-    "lyapunov": _cmd_lyapunov,
-    "ids": _cmd_ids,
-    "weyl": _cmd_weyl,
-    "splitting": _cmd_splitting,
-    "thouless": _cmd_thouless,
-    "subordinacy": _cmd_subordinacy,
-    "duality": _cmd_duality,
-    "verify": _cmd_verify,
+    "lyapunov": (_cmd_lyapunov, "Lyapunov spectrum over an energy grid -> CSV"),
+    "ids": (_cmd_ids, "integrated density of states over an energy grid -> CSV"),
+    "weyl": (_cmd_weyl,
+             "boundary-matrix traces and bounds over imaginary offsets -> CSV"),
+    "splitting": (_cmd_splitting,
+                  "splitting dimensions, gaps, and angles over energies -> CSV"),
+    "thouless": (_cmd_thouless, "exponent-sum / state-density residuals -> CSV"),
+    "subordinacy": (_cmd_subordinacy, "boundary-pairing probe at one energy -> JSON"),
+    "duality": (_cmd_duality, "dual eigenvector transform residual -> JSON"),
+    "verify": (_cmd_verify, "run the reference battery; nonzero exit on failure"),
 }
 
 
@@ -491,16 +475,7 @@ def _build_parser():
                     "reference verification battery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("lyapunov", "Lyapunov spectrum over an energy grid -> CSV"),
-        ("ids", "integrated density of states over an energy grid -> CSV"),
-        ("weyl", "boundary-matrix traces and bounds over imaginary offsets -> CSV"),
-        ("splitting", "splitting dimensions, gaps, and angles over energies -> CSV"),
-        ("thouless", "exponent-sum / state-density residuals -> CSV"),
-        ("subordinacy", "boundary-pairing probe at one energy -> JSON"),
-        ("duality", "dual eigenvector transform residual -> JSON"),
-        ("verify", "run the reference battery; nonzero exit on failure"),
-    ]:
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None,
                        help="JSON config file (optional only for verify)")
@@ -517,7 +492,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config) if (args.config or args.command != "verify") else {}
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command][0](cfg, args)
     except ArgumentError as exc:
         print("config error: %s" % (exc,), file=sys.stderr)
         return EXIT_CONFIG

@@ -25,6 +25,13 @@ __all__ = [
 ]
 
 
+# Rayleigh iteration in nearest_eigenpair: relative residual and step budget
+EIGENPAIR_TOL = 1e-10
+EIGENPAIR_MAX_ITER = 60
+# orthonormal_columns: smallest |r_ii| relative to the largest
+RANK_TOL = 1e-12
+
+
 class ArgumentError(ValueError):
     """Inconsistent or malformed input data."""
 
@@ -84,10 +91,7 @@ def solve_shifted_banded(ab_upper, z, rhs, tol=1e-10):
     band = band.astype(np.result_type(band.dtype, type(z), np.complex128), copy=True)
     band[bw] -= z
     rhs = np.asarray(rhs)
-    if bw == 0:
-        x = rhs / band[0] if rhs.ndim == 1 else rhs / band[0][:, None]
-    else:
-        x = sla.solve_banded((bw, bw), band, rhs)
+    x = sla.solve_banded((bw, bw), band, rhs)
     residual = np.linalg.norm(banded_matmul(ab_upper, x) - z * x - rhs)
     rhs_norm = np.linalg.norm(rhs)
     if residual > tol * max(rhs_norm, 1e-300):
@@ -106,14 +110,15 @@ def eigenvalues_banded(ab_upper):
     return sla.eig_banded(ab_upper, lower=False, eigvals_only=True)
 
 
-def nearest_eigenpair(ab_upper, sigma, tol=1e-10, max_iter=60):
+def nearest_eigenpair(ab_upper, sigma):
     """Eigenpair of a banded Hermitian matrix nearest to the shift ``sigma``.
 
     Rayleigh-quotient iteration seeded with an inverse-iteration step; each
     step is a banded shifted solve, so the cost stays linear in the matrix
     size.  Bisection (Sturm counts) certifies the result: when an eigenvalue
     lies strictly closer to ``sigma``, the iteration restarts from the
-    nearest one.  Returns ``(eigenvalue, eigenvector)``.
+    nearest one.  The residual must fall below EIGENPAIR_TOL within
+    EIGENPAIR_MAX_ITER steps.  Returns ``(eigenvalue, eigenvector)``.
     """
     ab_upper = np.asarray(ab_upper)
     n = ab_upper.shape[1]
@@ -122,7 +127,7 @@ def nearest_eigenpair(ab_upper, sigma, tol=1e-10, max_iter=60):
     x /= np.linalg.norm(x)
     lam = float(sigma)
     shift = lam
-    for it in range(max_iter):
+    for it in range(EIGENPAIR_MAX_ITER):
         try:
             y = solve_shifted_banded(ab_upper, shift, x, tol=np.inf)
         except np.linalg.LinAlgError:
@@ -132,8 +137,8 @@ def nearest_eigenpair(ab_upper, sigma, tol=1e-10, max_iter=60):
         hx = banded_matmul(ab_upper, x)
         lam = float(np.real(np.vdot(x, hx)))
         res = np.linalg.norm(hx - lam * x)
-        if res <= tol * max(1.0, abs(lam)):
-            d = abs(lam - sigma) - 2 * tol * max(1.0, abs(lam))
+        if res <= EIGENPAIR_TOL * max(1.0, abs(lam)):
+            d = abs(lam - sigma) - 2 * EIGENPAIR_TOL * max(1.0, abs(lam))
             closer = sla.eig_banded(ab_upper, lower=False, eigvals_only=True, select="v",
                                     select_range=(sigma - d, sigma + d)) if d > 0 else []
             if not len(closer):
@@ -151,14 +156,14 @@ def nearest_eigenpair(ab_upper, sigma, tol=1e-10, max_iter=60):
 
 # ── subspace helpers ─────────────────────────────────────────────────────────
 
-def orthonormal_columns(a, tol=1e-12):
+def orthonormal_columns(a):
     """Orthonormal basis for the column span; raises on rank deficiency."""
     a = np.atleast_2d(np.asarray(a))
     if a.shape[1] == 0:
         return a.copy()
     q, r = np.linalg.qr(a)
     d = np.abs(np.diag(r))
-    if d.min() <= tol * max(d.max(), 1.0):
+    if d.min() <= RANK_TOL * max(d.max(), 1.0):
         raise ArgumentError("rank-deficient frame (min |r_ii| = %.2e)" % d.min())
     return q
 

@@ -31,6 +31,10 @@ __all__ = [
     "direct_sum",
 ]
 
+# a restricted pairing with an eigenvalue within this fraction of its
+# largest is degenerate
+DEGENERACY_TOL = 1e-10
+
 
 def pairing_matrix(coupling):
     """Skew-Hermitian pairing matrix S built from the coupling block."""
@@ -85,25 +89,25 @@ def krein_matrix(s, frame):
     return 0.5 * (g + g.conj().T)
 
 
-def signature(g, tol=1e-10):
+def signature(g):
     """Inertia ``(p, q)`` of a Hermitian matrix; zero eigenvalues raise.
 
     ``p`` counts positive and ``q`` negative eigenvalues.  An eigenvalue
-    within ``tol * max|eig|`` of zero means the restricted pairing is
-    degenerate, which the geometric constructions cannot tolerate.
+    within ``DEGENERACY_TOL * max|eig|`` of zero makes the restricted
+    pairing degenerate, which the geometric constructions cannot tolerate.
     """
     g = np.atleast_2d(np.asarray(g))
     if g.shape[1] == 0:
         return 0, 0
     eig = np.linalg.eigvalsh(g)
     scale = max(np.abs(eig).max(), 1e-300)
-    if np.any(np.abs(eig) <= tol * scale):
+    if np.any(np.abs(eig) <= DEGENERACY_TOL * scale):
         raise InvariantError("degenerate restricted pairing (|eig| <= %.1e)"
-                             % (tol * scale))
+                             % (DEGENERACY_TOL * scale))
     return int(np.sum(eig > 0)), int(np.sum(eig < 0))
 
 
-def canonical_basis(s, frame, tol=1e-10):
+def canonical_basis(s, frame):
     """Canonically paired basis of the span of ``frame``.
 
     Requires the restriction of the pairing to the span to be nondegenerate
@@ -121,7 +125,7 @@ def canonical_basis(s, frame, tol=1e-10):
     g = krein_matrix(s, q)
     eig, vec = np.linalg.eigh(g)
     scale = max(np.abs(eig).max(), 1e-300)
-    if np.any(np.abs(eig) <= tol * scale):
+    if np.any(np.abs(eig) <= DEGENERACY_TOL * scale):
         raise InvariantError("degenerate restricted pairing")
     p = int(np.sum(eig > 0))
     if 2 * p != dim:
@@ -137,14 +141,14 @@ def canonical_basis(s, frame, tol=1e-10):
     return xi, p
 
 
-def reverse_norm_constant(s, frame, tol=1e-10):
+def reverse_norm_constant(s, frame):
     """Norm-reversal constant of a nondegenerate balanced subspace.
 
     ``c(V) = ||S|| * sum_i ||xi_i|| ||xi_{i^*}||`` over the canonical basis,
     where ``i^*`` is the canonical partner index.  With balanced inertia the
     partner of ``i`` is ``i + k`` (and back), so the sum is symmetric.
     """
-    xi, p = canonical_basis(s, frame, tol=tol)
+    xi, p = canonical_basis(s, frame)
     if xi.shape[1] == 0:
         return 1.0
     k = xi.shape[1] // 2
@@ -153,7 +157,7 @@ def reverse_norm_constant(s, frame, tol=1e-10):
     return float(np.linalg.norm(s, 2)) * paired
 
 
-def reverse_norm_check(s, a, frame, tol=1e-10):
+def reverse_norm_check(s, a, frame):
     """Two-sided comparison of a restricted map with its restricted inverse.
 
     Returns a dict with ``norm`` (map restricted to span(frame)),
@@ -163,8 +167,7 @@ def reverse_norm_check(s, a, frame, tol=1e-10):
     a = np.asarray(a, dtype=complex)
     q = orthonormal_columns(np.atleast_2d(np.asarray(frame, dtype=complex)))
     image = orthonormal_columns(a @ q)
-    c = max(reverse_norm_constant(s, q, tol=tol),
-            reverse_norm_constant(s, image, tol=tol))
+    c = max(reverse_norm_constant(s, q), reverse_norm_constant(s, image))
     fwd = restriction_norm(a, q)
     inv = restriction_norm(np.linalg.inv(a), image)
     ok = (inv / c <= fwd * (1 + 1e-12)) and (fwd <= c * inv * (1 + 1e-12))

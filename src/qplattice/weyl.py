@@ -38,6 +38,8 @@ from .splitting import (
 GRAPH_WINDOW_START = 64
 GRAPH_WINDOW_MAX = 131072
 GRAPH_STABLE_TOL = 1e-11
+# green_oracle's window doubling must move the kernel by less than this
+ORACLE_CONV_TOL = 1e-8
 
 
 # ── half-line solution graphs ────────────────────────────────────────────────
@@ -348,21 +350,24 @@ def spectral_bound(strip, energy, eps_grid=None, theta=0.0, dims=None,
 # ── truncated-resolvent oracle ───────────────────────────────────────────────
 
 
-def _resolvent_columns(op, z, q, n_sites):
+def _kernel_block(op, z, p, q, n_sites):
     # Solve (truncation - z) v = basis columns at site (line) or block
-    # (strip) q of the centered window.
+    # (strip) q of the centered window; returns the block of v at row p,
+    # v itself and the first row of q.
     width = getattr(op, "width", 1)
     first = -(n_sites // 2)
     ab = op.assemble_banded(n_sites, first)
-    row = (q - first) * width
-    if not 0 <= row < ab.shape[1]:
-        raise ArgumentError("requested index %d outside the window" % q)
+    row_p, row_q = (p - first) * width, (q - first) * width
+    for index, row in ((q, row_q), (p, row_p)):
+        if not 0 <= row < ab.shape[1]:
+            raise ArgumentError("requested index %d outside the window" % index)
     rhs = np.zeros((ab.shape[1], width), dtype=complex)
-    rhs[row : row + width] = np.eye(width)
-    return solve_shifted_banded(ab, z, rhs), row, width
+    rhs[row_q : row_q + width] = np.eye(width)
+    v = solve_shifted_banded(ab, z, rhs)
+    return v[row_p : row_p + width], v, row_q
 
 
-def green_oracle(op, z, p, q, n_sites=4001, verify=True, conv_tol=1e-8):
+def green_oracle(op, z, p, q, n_sites=4001, verify=True):
     """Resolvent kernel entry (or block) of a centered truncation.
 
     Parameters
@@ -377,7 +382,7 @@ def green_oracle(op, z, p, q, n_sites=4001, verify=True, conv_tol=1e-8):
         Window length; the window is centered at 0.
     verify : bool
         Run the built-in checks: doubling the window must move the
-        answer by less than conv_tol, the quadratic solve identity
+        answer by less than ORACLE_CONV_TOL, the quadratic solve identity
         Im<v, e_q> = Im z * ||v||^2 must hold to 1e-10, and the kernel
         must be Hermitian against the conjugate spectral parameter.
 
@@ -388,22 +393,14 @@ def green_oracle(op, z, p, q, n_sites=4001, verify=True, conv_tol=1e-8):
     """
     if np.imag(z) == 0:
         raise ArgumentError("resolvent oracle needs a nonreal spectral parameter")
-
-    def _entry(n):
-        v, row_q, width = _resolvent_columns(op, z, q, n)
-        first = -(n // 2)
-        row_p = (p - first) * width
-        if not 0 <= row_p < v.shape[0]:
-            raise ArgumentError("requested index %d outside the window" % p)
-        block = v[row_p : row_p + width, :]
-        return (block[0, 0] if width == 1 else block), v, row_q, width
-
-    value, v, row_q, width = _entry(n_sites)
+    block, v, row_q = _kernel_block(op, z, p, q, n_sites)
+    width = v.shape[1]
+    value = block[0, 0] if width == 1 else block
 
     if verify:
-        doubled, _, _, _ = _entry(2 * n_sites + 1)
-        move = np.max(np.abs(np.atleast_2d(doubled) - np.atleast_2d(value)))
-        if move > conv_tol:
+        doubled = _kernel_block(op, z, p, q, 2 * n_sites + 1)[0]
+        move = np.max(np.abs(doubled - block))
+        if move > ORACLE_CONV_TOL:
             raise ConvergenceError(
                 "resolvent entry still moving under window doubling: %.3e" % move
             )
@@ -415,13 +412,8 @@ def green_oracle(op, z, p, q, n_sites=4001, verify=True, conv_tol=1e-8):
                     "solve identity violated: Im kernel %.3e vs Im z * mass %.3e"
                     % (lhs, rhs)
                 )
-        v_conj, _, width_c = _resolvent_columns(op, np.conj(z), p, n_sites)
-        first = -(n_sites // 2)
-        row_qc = (q - first) * width_c
-        block_c = v_conj[row_qc : row_qc + width_c, :]
-        mirrored = block_c.conj().T
-        direct = np.atleast_2d(value)
-        if np.max(np.abs(direct - mirrored)) > 1e-10 * max(1.0, np.max(np.abs(direct))):
+        mirrored = _kernel_block(op, np.conj(z), q, p, n_sites)[0].conj().T
+        if np.max(np.abs(block - mirrored)) > 1e-10 * max(1.0, np.max(np.abs(block))):
             raise InvariantError("kernel is not Hermitian across conjugate parameters")
 
     return value

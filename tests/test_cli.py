@@ -57,16 +57,24 @@ def test_lyapunov_artifact(tmp_path):
                                                         __version__)
 
 
-def test_parallel_runs_emit_identical_bytes(tmp_path):
-    cfg = {"operator": FREE_OPERATOR,
-           "grid": {"start": 2.5, "stop": 4.5, "count": 3},
-           "steps": 1500, "samples": 4}
+@pytest.mark.parametrize("command, cfg", [
+    ("lyapunov", {"operator": FREE_OPERATOR,
+                  "grid": {"start": 2.5, "stop": 4.5, "count": 3},
+                  "steps": 1500, "samples": 4}),
+    ("splitting", {"operator": AMO_HALF, "grid": {"values": [3.0, 0.335]}}),
+    ("thouless", {"operator": AMO_HALF, "grid": {"values": [3.0, 2.5]},
+                  "steps": 1500, "samples": 4,
+                  "ids": {"truncation": 256, "samples": 4}}),
+], ids=["lyapunov", "splitting", "thouless"])
+def test_parallel_runs_emit_identical_bytes(tmp_path, command, cfg):
+    # the rows ship the built operator (and the thouless table) to the pool
     path = write_config(tmp_path, cfg)
     serial, fanned = tmp_path / "serial", tmp_path / "fanned"
-    assert main(["lyapunov", "--config", path, "--out", str(serial)]) == 0
-    assert main(["lyapunov", "--config", path, "--out", str(fanned),
-                 "--jobs", "3"]) == 0
-    assert (serial / "lyapunov.csv").read_bytes() == (fanned / "lyapunov.csv").read_bytes()
+    assert main([command, "--config", path, "--out", str(serial)]) == 0
+    assert main([command, "--config", path, "--out", str(fanned),
+                 "--jobs", "2"]) == 0
+    artifact = command + ".csv"
+    assert (serial / artifact).read_bytes() == (fanned / artifact).read_bytes()
 
 
 def test_ids_artifact(tmp_path):

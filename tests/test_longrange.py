@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import qplattice.longrange
+from qplattice.cli import DEFAULT_RADII
+from qplattice.corpus import cosine_root_state
 from qplattice.linalg import ArgumentError, banded_matmul, eigenvalues_banded, \
-    nearest_eigenpair
+    nearest_eigenpair, solve_shifted_banded
 from qplattice.longrange import (
     _running_sums,
     duality_transform,
@@ -14,7 +17,14 @@ from qplattice.longrange import (
     solution_growth,
     subordinacy_probe,
 )
-from qplattice.operators import almost_mathieu, dual_operator, free_laplacian
+from qplattice.operators import (
+    Hopping,
+    LineOperator,
+    Potential,
+    almost_mathieu,
+    dual_operator,
+    free_laplacian,
+)
 
 GOLDEN_MEAN = (np.sqrt(5.0) - 1) / 2
 FREE = free_laplacian()
@@ -23,6 +33,14 @@ SITES = np.arange(-60, 61)
 COS_HALF = np.cos(np.pi * SITES / 2)     # solves the free equation at 0
 SIN_HALF = np.sin(np.pi * SITES / 2)
 COS_THIRD = np.cos(np.pi * SITES / 3)    # solves the free equation at 1
+# pure hopping: its cosine root state solves the equation at zero energy
+PURE_HOPPING = LineOperator(Hopping({1: 1.0, 2: 0.1, 3: -0.05}), Potential.zero(),
+                            epsilon=0.0)
+
+
+def root_state(radii):
+    n_max = 2 * max(radii) + PURE_HOPPING.hopping.range + 8
+    return cosine_root_state(PURE_HOPPING, n_max)[0], -n_max
 
 
 # ── windowed boundary pairing ────────────────────────────────────────────────
@@ -109,6 +127,42 @@ def test_subordinacy_chain_free_center():
         assert rec["lower"] <= rec["w_total"] + 1e-12
         assert rec["w_total"] <= rec["window_bound"] + 1e-12
         assert rec["w_total"] <= rec["tail_bound"] + 1e-12
+
+
+def test_subordinacy_chain_fails_on_a_wrong_solve(monkeypatch):
+    # solving at z + 0.5 keeps Im z, so the solve identity still holds; only
+    # the lower half of the chain, against W read off H, can catch it
+    solve = qplattice.longrange.solve_shifted_banded
+    monkeypatch.setattr(qplattice.longrange, "solve_shifted_banded",
+                        lambda ab, z, rhs: solve(ab, z + 0.5, rhs))
+    radii = (64, 256, 1024)
+    u, first = root_state(radii)
+    report = subordinacy_probe(PURE_HOPPING, 0.0, u, r_grid=radii, first_site=first)
+    assert report.ok is False
+
+
+def test_subordinacy_pairing_sum_is_read_off_the_operator():
+    u, first = root_state(DEFAULT_RADII)
+    report = subordinacy_probe(PURE_HOPPING, 0.0, u, r_grid=DEFAULT_RADII,
+                               first_site=first)
+    assert report.ok
+    for r, rec in zip(DEFAULT_RADII, report.records):
+        eps = 1.0 / r
+        n_win = 4 * r + 1
+        w_first = -(n_win // 2)
+        phi_w = np.zeros(n_win, dtype=complex)
+        phi_w[-w_first] = 1.0
+        u_w = u[w_first - first : w_first - first + n_win]
+        ab = PURE_HOPPING.assemble_banded(n_win, first_site=w_first)
+        v = solve_shifted_banded(ab, 1j * eps, phi_w.reshape(-1, 1))[:, 0]
+        assert rec["w_total"] == lagrange_sum_bounds(PURE_HOPPING, v, u_w, r,
+                                                     first_site=w_first)[0]
+        # reference: the same sum through the solve identity
+        # W_r(v, u) = <phi, u>_r + i eps <v, u>_r
+        run_b = _running_sums(phi_w * np.conj(u_w), -w_first, r)
+        run_c = _running_sums(v * np.conj(u_w), -w_first, r)
+        identity = abs(np.cumsum(run_b + 1j * eps * run_c)[-1])
+        assert abs(rec["w_total"] - identity) <= 1e-12 * identity
 
 
 def test_subordinacy_validation():

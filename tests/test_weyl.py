@@ -191,8 +191,10 @@ def test_green_oracle_free_value():
 def test_green_oracle_checks_input():
     with pytest.raises(ArgumentError):
         green_oracle(free_laplacian(), 2.0, 0, 0)  # real spectral parameter
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="index 5000 outside"):
         green_oracle(free_laplacian(), 1j, 5000, 0, n_sites=101)
+    with pytest.raises(ArgumentError, match="index -51 outside"):
+        green_oracle(free_laplacian(), 1j, 0, -51, n_sites=101)
 
 
 def test_green_oracle_detects_unconverged_window():
