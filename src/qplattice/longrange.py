@@ -129,12 +129,13 @@ def subordinacy_probe(op, energy, u, phi=None, r_grid=(256, 512, 1024, 2048, 409
     resolvent v = (H - E - i/R)^{-1} phi is computed on the 4R window,
     and the chain
 
-        |sum_r <phi, u>_r| - (R/R) * ||v|| ||u||  <=  |sum_r W_r(v, u)|
-                                               <=  hopping-weighted envelopes
+        |sum_r <phi, u>_r| - (1/R) sum_r ||v||_r ||u||_r  <=  |sum_r W_r(v, u)|
+                                                         <=  hopping-weighted envelopes
 
-    is recorded.  W is summed from H applied to v and u, not from the
-    solve identity, so the lower bound tests the solve; the envelopes
-    are enforced by ``lagrange_sum_bounds``.  The solve identity
+    is recorded, with r = 1 .. R and ||.||_r the norm over |n| <= r.  W
+    is summed from H applied to v and u, not from the solve identity, so
+    the lower bound tests the solve; the envelopes are enforced by
+    ``lagrange_sum_bounds``.  The solve identity
     Im<phi, v> = ||v||^2 / R is checked, and the scaled mass
     (1/R)^alpha ||v||^2 that proxies the upper alpha-derivative of the
     spectral measure at the energy is recorded.
@@ -210,11 +211,12 @@ def subordinacy_probe(op, energy, u, phi=None, r_grid=(256, 512, 1024, 2048, 409
                 % (r, identity_lhs, eps * mass)
             )
 
+        # sum_r W_r(v, u) = sum_r <phi, u>_r + i eps sum_r <v, u>_r, and
+        # |<v, u>_r| <= ||v||_r ||u||_r over the radius-r window
         run_b = _running_sums(phi_w * np.conj(u_w), -w_first, r)
-        lower = float(
-            np.abs(np.cumsum(run_b)[-1])
-            - eps * r * np.linalg.norm(v) * np.linalg.norm(u_w)
-        )
+        norms_r = np.sqrt(_running_sums(np.abs(v) ** 2, -w_first, r)
+                          * _running_sums(np.abs(u_w) ** 2, -w_first, r))
+        lower = float(np.abs(np.cumsum(run_b)[-1]) - eps * np.sum(norms_r))
         w_total, window_bound, tail_bound = lagrange_sum_bounds(
             op, v, u_w, r, first_site=w_first
         )

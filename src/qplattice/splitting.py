@@ -445,19 +445,17 @@ class CenterVariationReport:
 
 
 def _fit_growth_constant(records):
-    # Smallest c with value <= c * g * exp(c * g * eps * n) for every record.
-    worst = 1e-12
-    for value, g, eps, n in records:
-        lo, hi = 1e-12, 1e12
-        for _ in range(200):
-            mid = np.sqrt(lo * hi)
-            bound = np.log(mid) + np.log(g) + mid * g * eps * n
-            if bound >= np.log(max(value, 1e-300)):
-                hi = mid
-            else:
-                lo = mid
-        worst = max(worst, hi)
-    return float(worst)
+    # Smallest c with value <= c * g * exp(c * g * eps * n) for every
+    # record: with t = eps * n, x = c * g * t solves x e^x = value * t, so
+    # c = W(value * t) / (t * g), W the principal branch of Lambert's W.
+    # Imported here: scipy.special adds about 3.5 MB and 0.1 s to every
+    # import of the package, and only this fit needs it.
+    from scipy.special import lambertw
+
+    value, g, eps, n = np.asarray(records, dtype=float).T
+    t = eps * n
+    c = lambertw(value * t).real / (t * g)
+    return float(np.clip(c.max(), 1e-12, 1e12))
 
 
 def center_variation_check(strip, energy, theta=0.0,
@@ -470,7 +468,8 @@ def center_variation_check(strip, energy, theta=0.0,
     are compared against the envelope c * C(n) * exp(c * C(n) * eps * n),
     where C(n) is the real-energy growth sequence.  The products are
     read at the doubling checkpoints 1, 2, 4, ... up to n_max.  The
-    smallest working constant is fitted by bisection and reported,
+    smallest working constant, in closed form through Lambert's W, is
+    reported,
     together with per-eps Lipschitz ratios of the projected one-step
     matrices.
 

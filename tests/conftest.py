@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qplattice import splitting
+from qplattice import cocycle, splitting
 from qplattice.operators import (
     GOLDEN_MEAN,
     Hopping,
@@ -64,6 +64,43 @@ def random_form_preserving(rng, coupling, scale=0.5):
     return expm(np.linalg.solve(s, h))
 
 
+def random_hsp_cocycle(rng, m, scale=0.6):
+    """Random pairing-preserving cocycle: a fixed exp(S^-1 H) link twisted
+    by the symplectic rotation of the phase."""
+    s = pairing_matrix(np.eye(m))
+    b = random_form_preserving(rng, np.eye(m), scale=scale)
+
+    def matrix_fn(phases):
+        ang = 2.0 * np.pi * np.asarray(phases, dtype=float)
+        c, sn = np.cos(ang), np.sin(ang)
+        eye = np.eye(m)
+        out = np.zeros(np.shape(ang) + (2 * m, 2 * m), dtype=complex)
+        out[..., :m, :m] = c[..., None, None] * eye
+        out[..., :m, m:] = -sn[..., None, None] * eye
+        out[..., m:, :m] = sn[..., None, None] * eye
+        out[..., m:, m:] = c[..., None, None] * eye
+        return b @ out
+
+    return cocycle.Cocycle(GOLDEN_MEAN, matrix_fn, 2 * m, form=s)
+
+
+def reference_growth_constant(records):
+    """Bisection for the smallest c with value <= c g exp(c g eps n) over
+    the records, each c in [1e-12, 1e12]."""
+    worst = 1e-12
+    for value, g, eps, n in records:
+        lo, hi = 1e-12, 1e12
+        for _ in range(200):
+            mid = np.sqrt(lo * hi)
+            bound = np.log(mid) + np.log(g) + mid * g * eps * n
+            if bound >= np.log(max(value, 1e-300)):
+                hi = mid
+            else:
+                lo = mid
+        worst = max(worst, hi)
+    return float(worst)
+
+
 @pytest.fixture
 def rate_windows(monkeypatch):
     """Arguments of every finite_window_rates call the splitting module
@@ -92,3 +129,38 @@ def converged_frames(monkeypatch):
 
     monkeypatch.setattr(splitting, "_carried_frames", counted)
     return calls
+
+
+@pytest.fixture
+def block_certificates(monkeypatch):
+    """Counts of the block certificates the QR engine checks during the
+    test: blocks accepted, and blocks that gave way to their halves."""
+    counts = {"accepted": 0, "failed": 0}
+    real = cocycle._certified_qr
+
+    def counted(*args):
+        out = real(*args)
+        counts["failed" if out is None else "accepted"] += 1
+        return out
+
+    monkeypatch.setattr(cocycle, "_certified_qr", counted)
+    return counts
+
+
+@pytest.fixture
+def growth_fits(monkeypatch):
+    """Checks every growth-constant fit the splitting module makes during
+    the test against the bisection reference (1e-14 relative); one
+    (fitted, reference) pair per fit."""
+    fits = []
+    real = splitting._fit_growth_constant
+
+    def checked(records):
+        fitted = real(records)
+        reference = reference_growth_constant(records)
+        assert abs(fitted - reference) <= 1e-14 * reference
+        fits.append((fitted, reference))
+        return fitted
+
+    monkeypatch.setattr(splitting, "_fit_growth_constant", checked)
+    return fits

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_line, random_strip
+from conftest import random_hsp_cocycle, random_line, random_strip
 from qplattice.cocycle import (
+    BLOCK_STEPS,
     ORBIT_CHUNK_ENTRIES,
     Cocycle,
     acceleration,
@@ -339,6 +340,12 @@ def test_orbit_matrices_broadcast_a_phase_independent_map():
         np.testing.assert_array_equal(a, np.broadcast_to(cocycle.matrix(0.0), (4, 4, 4)))
 
 
+# The engine crosses certified blocks of steps with one QR each, so its
+# per-sample exponents differ from one QR per step by rounding alone: at
+# most 1.0e-10 below, on an 8-step window.
+BLOCK_TOL = 1e-9
+
+
 def test_lyapunov_spectrum_matches_per_step_engine():
     cocycle = transfer_cocycle(random_strip(np.random.default_rng(52)), 0.2)
     assert cocycle.dim == 6
@@ -346,7 +353,46 @@ def test_lyapunov_spectrum_matches_per_step_engine():
         for n_steps in chunk_edges(len(phases), cocycle.dim):
             est = lyapunov_spectrum(cocycle, n_steps, phases=phases)
             reference = reference_qr_engine(cocycle, phases, n_steps, cocycle.dim)
-            np.testing.assert_array_equal(est.per_sample, reference / n_steps)
+            np.testing.assert_allclose(est.per_sample, reference / n_steps,
+                                       rtol=0, atol=BLOCK_TOL)
+
+
+def test_block_engine_keeps_the_longest_blocks_on_a_pairing_cocycle(
+        block_certificates):
+    # test_02's first draw: every block crosses BLOCK_STEPS steps at once
+    rng = np.random.default_rng(7)
+    cocycle = random_hsp_cocycle(rng, int(rng.integers(1, 4)))
+    lyapunov_spectrum(cocycle, 10000)
+    assert block_certificates == {"accepted": 10000 // BLOCK_STEPS, "failed": 0}
+
+
+def test_block_engine_shrinks_blocks_off_the_spectrum(block_certificates):
+    # exponents near +-1.9: the first 8-step block fails its certificate,
+    # and the 4-step blocks that replace it carry on to the end
+    strip = random_strip(np.random.default_rng(1))
+    cocycle = transfer_cocycle(strip, strip.norm_bound() + 1.0)
+    assert cocycle.dim == 6
+    phases = phase_lattice(32)
+    est = lyapunov_spectrum(cocycle, 1000, phases=phases)
+    assert block_certificates == {"accepted": 250, "failed": 1}
+    reference = reference_qr_engine(cocycle, phases, 1000, cocycle.dim)
+    np.testing.assert_allclose(est.per_sample, reference / 1000,
+                               rtol=0, atol=BLOCK_TOL)
+
+
+def test_block_engine_falls_back_when_a_block_overflows(block_certificates):
+    # the 8-step product of diag(1e60, 1e-60) overflows and the 4-step one
+    # has no finite Frobenius norm: both are refused before their QR, the
+    # 2-step one fails its certificate, and single steps take over
+    cocycle = Cocycle(GOLDEN_MEAN, lambda x: np.diag([1e60, 1e-60]).astype(complex), 2)
+    phases = phase_lattice(4)
+    est = lyapunov_spectrum(cocycle, 64, phases=phases)
+    assert block_certificates == {"accepted": 0, "failed": 3}
+    assert np.isfinite(est.per_sample).all()
+    np.testing.assert_allclose(est.exponents, [np.log(1e60), -np.log(1e60)],
+                               rtol=1e-12)
+    reference = reference_qr_engine(cocycle, phases, 64, cocycle.dim)
+    np.testing.assert_allclose(est.per_sample, reference / 64, rtol=0, atol=BLOCK_TOL)
 
 
 def test_converged_frames_match_per_step_loops():

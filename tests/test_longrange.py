@@ -141,6 +141,18 @@ def test_subordinacy_chain_fails_on_a_wrong_solve(monkeypatch):
     assert report.ok is False
 
 
+def test_subordinacy_chain_fails_at_every_radius_on_a_nearly_right_solve(monkeypatch):
+    # a solve at z + 0.05 passes the lower bound built from the whole-window
+    # norms at R = 64 and 1024; the radius-r norms catch it at every radius
+    solve = qplattice.longrange.solve_shifted_banded
+    monkeypatch.setattr(qplattice.longrange, "solve_shifted_banded",
+                        lambda ab, z, rhs: solve(ab, z + 0.05, rhs))
+    radii = (64, 256, 1024)
+    u, first = root_state(radii)
+    report = subordinacy_probe(PURE_HOPPING, 0.0, u, r_grid=radii, first_site=first)
+    assert [rec["ok"] for rec in report.records] == [False, False, False]
+
+
 def test_subordinacy_pairing_sum_is_read_off_the_operator():
     u, first = root_state(DEFAULT_RADII)
     report = subordinacy_probe(PURE_HOPPING, 0.0, u, r_grid=DEFAULT_RADII,

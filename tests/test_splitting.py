@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, null_space
 
-from conftest import random_hermitian, random_line, random_strip
+from conftest import random_hermitian, random_line, random_strip, reference_growth_constant
 from qplattice.cocycle import transfer_cocycle
 from qplattice.corpus import spectrum_sample
 from qplattice.linalg import ArgumentError, ConvergenceError, InvariantError, \
@@ -17,6 +17,7 @@ from qplattice.splitting import (
     DEFAULT_WINDOW,
     INVARIANCE_TOL,
     _carried_frames,
+    _fit_growth_constant,
     _frames_along,
     center_growth,
     center_variation_check,
@@ -357,13 +358,14 @@ def test_telescoping_input_validation():
 
 # ── neutral variation under complex energy ───────────────────────────────────
 
-def test_center_variation_free_band_center():
+def test_center_variation_free_band_center(growth_fits):
     report = center_variation_check(
         fold_to_strip(free_laplacian()), 0.0,
         eps_grid=(0.0, 1e-4, 1e-3), n_max=256,
     )
     assert report.dims == (0, 2, 0)
     assert report.c_growth <= 10.0
+    assert len(growth_fits) == 1
     assert report.lipschitz_stable
     # real-energy envelope of the elliptic cocycle stays at one
     assert abs(report.envelope[-1] - 1.0) < 1e-8
@@ -372,7 +374,7 @@ def test_center_variation_free_band_center():
         assert val**2 <= report.envelope[n] * (1 + 1e-10)
 
 
-def test_center_variation_growth_constant_ignores_grid_order():
+def test_center_variation_growth_constant_ignores_grid_order(growth_fits):
     # every shifted record is fitted against the real-energy envelope,
     # wherever the zero shift sits in the grid and whether it is there
     op = almost_mathieu(0.5)
@@ -383,9 +385,10 @@ def test_center_variation_growth_constant_ignores_grid_order():
         for grid in ((0.0, 1e-4, 1e-3), (1e-4, 0.0, 1e-3), (1e-4, 1e-3))
     ]
     assert constants[0] == constants[1] == constants[2]
+    assert len(growth_fits) == 3
 
 
-def test_center_variation_converges_each_splitting_once(rate_windows):
+def test_center_variation_converges_each_splitting_once(rate_windows, growth_fits):
     # the detected splitting is station 0 and feeds the envelope; the 16
     # Lipschitz-probe splittings are converged once, not once per eps:
     # 1 detected + 9 checkpoints + 16 probe + 2 shifted
@@ -394,9 +397,10 @@ def test_center_variation_converges_each_splitting_once(rate_windows):
                                     eps_grid=(0.0, 1e-4, 1e-3), n_max=256)
     assert report.checkpoints == (1, 2, 4, 8, 16, 32, 64, 128, 256)
     assert len(rate_windows) == 28
+    assert len(growth_fits) == 1
 
 
-def test_center_variation_on_mixed_splitting(converged_frames):
+def test_center_variation_on_mixed_splitting(converged_frames, growth_fits):
     # hyperbolic and neutral directions together: the shifted products step
     # between swept neutral frames like the envelope, so rounding noise at
     # the top rate neither breaks the zero-shift comparison nor inflates the
@@ -411,7 +415,21 @@ def test_center_variation_on_mixed_splitting(converged_frames):
     # one sweep each way for the envelope and for each eps
     assert len(converged_frames) == 124
     assert report.c_growth < 1.0
+    assert len(growth_fits) == 1
     assert report.lipschitz_stable
+
+
+def test_growth_constant_matches_the_bisection():
+    # the closed form against the bisection it replaced, on records spread
+    # over the ranges center_variation_check produces and beyond
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        records = [(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(0, 3),
+                    10.0 ** rng.uniform(-6, -1), int(rng.integers(1, 2049)))
+                   for _ in range(int(rng.integers(1, 6)))]
+        fitted = _fit_growth_constant(records)
+        reference = reference_growth_constant(records)
+        assert abs(fitted - reference) <= 1e-14 * reference
 
 
 def test_center_variation_needs_neutral_frame():
