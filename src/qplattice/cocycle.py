@@ -213,14 +213,6 @@ def orbit_matrices(cocycle, phases):
         yield from stack
 
 
-def transport(cocycle, q, phases):
-    """Yield ``(q, r) = qr(A q)`` per step of the orbit, carrying the frame
-    ``q`` forward; pass ``cocycle.inverse()`` to carry it backward."""
-    for a in orbit_matrices(cocycle, phases):
-        q, r = np.linalg.qr(a @ q)
-        yield q, r
-
-
 # ── cached orbit products ────────────────────────────────────────────────────
 
 def _pair_products(mats):
@@ -260,8 +252,8 @@ class _Segment:
     def carry(self, q):
         # Cross the pieces in order.  A piece whose image loses a direction
         # to rounding (the certificate fails) gives way to its two halves
-        # for this and every later frame, down to single transport steps,
-        # which need no certificate.
+        # for this and every later frame, down to single steps, which need
+        # no certificate.
         kept, todo = [], self.pieces[::-1]
         while todo:
             piece = todo.pop()
@@ -488,14 +480,11 @@ def acceleration(strip, energy, y_grid=None, n_steps=20000,
     if y_grid is None:
         y_grid = np.linspace(0.0, 0.01, 6)
     y_grid = np.asarray(y_grid, dtype=float)
-    cocycle = transfer_cocycle(strip, energy)
-    base = phase_lattice(samples)
-    tops = []
-    for y in y_grid:
-        est = lyapunov_spectrum(cocycle, n_steps, top=1,
-                                phases=base + 1j * y)
-        tops.append(float(est.exponents[0]))
-    tops = np.asarray(tops)
+    # one QR evolution over every shift: a row of phases per y
+    phases = (phase_lattice(samples) + 1j * y_grid[:, None]).ravel()
+    est = lyapunov_spectrum(transfer_cocycle(strip, energy), n_steps, top=1,
+                            phases=phases)
+    tops = est.per_sample.reshape(len(y_grid), samples).mean(axis=1)
     coeffs = np.polyfit(y_grid, tops, 1)
     fit = np.polyval(coeffs, y_grid)
     residual = float(np.abs(fit - tops).max())

@@ -5,12 +5,13 @@ neutral, and fast-contracting frames by windowed subspace iteration.
 Two nested frames are swept along an orbit: one pushed forward, whose
 leading columns span the expanding directions and whose full span adds
 the neutral ones, and one pulled back on the inverse cocycle, likewise
-holding the contracting and then the neutral directions.  Each attracts
-in its own direction of time, so one sweep each way gives both at every
-phase, and the neutral frame is their intersection (covariant Lyapunov
-vectors, as in Ginelli et al. 2007).  The frames feed the
-vertical-angle tests, the restricted-growth envelopes, and the
-telescoping / center-variation bounds used by the spectral estimates.
+holding the contracting and then the neutral directions.  Each crosses
+its window on the boundary matrices' certified block products
+(`cocycle._Segment`) and attracts in its own direction of time, so one
+sweep each way gives both at every phase, and the neutral frame is their
+intersection (covariant Lyapunov vectors, as in Ginelli et al. 2007).
+The frames feed the vertical-angle tests, the restricted-growth
+envelopes, and the telescoping / center-variation bounds.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ from .linalg import (
     restriction_norm,
 )
 from .symplectic import form_defect, reverse_norm_constant
-from .cocycle import finite_window_rates, orbit_matrices, transfer_cocycle, transport
+from .cocycle import _Segment, finite_window_rates, orbit_matrices, transfer_cocycle
 
 DEFAULT_WINDOW = 128
 GAP_THRESHOLD = 1.01
@@ -77,14 +78,23 @@ def _random_frame(dim, n_cols, seed):
 
 
 def _carried_frames(cocycle, theta, n_window, n_steps, n_cols, seed):
-    # Push a random frame across the window ending at theta and on for
-    # n_steps more; it converges onto the fastest-expanding image
-    # directions (on the inverse cocycle, the most-contracted ones of the
-    # window starting there).  Returns the frames at theta + n alpha for
-    # n = 0 .. n_steps.
-    steps = transport(cocycle, _random_frame(cocycle.dim, n_cols, seed),
-                      theta + cocycle.alpha * np.arange(-n_window, n_steps))
-    return [q for n, (q, _) in enumerate(steps, 1 - n_window) if n >= 0]
+    # Push a random frame across the window ending at theta, in
+    # power-of-two stretches of cached block products from its far end,
+    # then one QR per step for n_steps more; it converges onto the
+    # fastest-expanding image directions (on the inverse cocycle, the
+    # most-contracted ones of the window starting there).  Returns the
+    # frames at theta + n alpha for n = 0 .. n_steps.
+    q = _random_frame(cocycle.dim, n_cols, seed)
+    while n_window > 0:
+        length = 1 << (n_window.bit_length() - 1)
+        q = _Segment(cocycle, theta + cocycle.alpha
+                     * np.arange(-n_window, length - n_window)).carry(q)
+        n_window -= length
+    frames = [q]
+    for a in orbit_matrices(cocycle, theta + cocycle.alpha * np.arange(n_steps)):
+        q, _ = np.linalg.qr(a @ q)
+        frames.append(q)
+    return frames
 
 
 def _intersect_frames(fa, fb):

@@ -16,6 +16,7 @@ from qplattice.operators import (
     Potential,
     fold_to_strip,
 )
+from qplattice.linalg import orthonormal_columns
 from qplattice.symplectic import pairing_matrix
 
 
@@ -84,6 +85,22 @@ def random_hsp_cocycle(rng, m, scale=0.6):
     return cocycle.Cocycle(GOLDEN_MEAN, matrix_fn, 2 * m, form=s)
 
 
+def reference_frame(cocycle, theta, n_window, n_cols, seed, backward):
+    """A seeded random frame carried across the window ending at ``theta``
+    (``backward``: pulled back across the window starting there), one QR
+    per step: the reference for every frame the library converges."""
+    rng = np.random.default_rng(seed)
+    dim = cocycle.dim
+    q = orthonormal_columns(
+        rng.standard_normal((dim, n_cols)) + 1j * rng.standard_normal((dim, n_cols))
+    )
+    # the window's matrices from one call, in the order they act
+    steps = np.arange(n_window - 1, -1, -1) if backward else np.arange(-n_window, 0)
+    for a in cocycle.matrices(theta + cocycle.alpha * steps):
+        q, _ = np.linalg.qr(np.linalg.solve(a, q) if backward else a @ q)
+    return q
+
+
 def reference_growth_constant(records):
     """Bisection for the smallest c with value <= c g exp(c g eps n) over
     the records, each c in [1e-12, 1e12]."""
@@ -145,6 +162,21 @@ def block_certificates(monkeypatch):
 
     monkeypatch.setattr(cocycle, "_certified_qr", counted)
     return counts
+
+
+@pytest.fixture
+def segment_carries(monkeypatch):
+    """Frames carried across a cached product tree during the test: one
+    entry, the frame's column count, per ``_Segment.carry`` call."""
+    carries = []
+    real = cocycle._Segment.carry
+
+    def counted(self, q):
+        carries.append(q.shape[-1])
+        return real(self, q)
+
+    monkeypatch.setattr(cocycle._Segment, "carry", counted)
+    return carries
 
 
 @pytest.fixture

@@ -121,6 +121,25 @@ def test_thouless_partial_failure_keeps_good_rows(tmp_path):
     assert bad[1] == "nan" and "grid step" in bad[3]
 
 
+def test_thouless_reads_an_explicit_ids_grid(tmp_path):
+    # an ids block with a grid of its own replaces the default table grid
+    # (257 points over 1.05 times the norm bound)
+    residuals = []
+    for ids_block in ({"start": -3.5, "stop": 3.5, "count": 257},
+                      {}):
+        cfg = {"operator": FREE_OPERATOR, "grid": {"values": [3.0]},
+               "steps": 3000, "samples": 4,
+               "ids": dict(ids_block, truncation=256, samples=4)}
+        assert main(["thouless", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == 0
+        header, (row,), _ = read_table(tmp_path / "thouless.csv")
+        assert header == ["E", "exponent_sum", "residual"]
+        assert abs(float(row[1]) - FREE_EXPONENT_AT_3) < 5e-3
+        residuals.append(float(row[2]))
+    assert max(residuals) < 1e-2
+    assert residuals[0] != residuals[1]
+
+
 def test_weyl_artifact(tmp_path):
     cfg = {"operator": FREE_OPERATOR, "energy": 0.0,
            "eps_grid": {"values": [0.1, 0.03]}}
@@ -185,6 +204,7 @@ def test_config_errors(tmp_path):
         ("weyl", {"energy": "x"}),
         ("thouless", {"grid": {"values": [3.0]}, "ids": 5}),
         ("subordinacy", {"energy": 0.0, "solution": []}),
+        ("subordinacy", {"energy": 0.0, "solution": {"type": "plane_wave"}}),
         ("duality", {"energy": 0.5, "x": "a"}),
         ("ids", {"grid": {"values": [-1.0, 1.0]}, "samples": [4]}),
         ("verify", {"filter": 3}),
@@ -207,6 +227,23 @@ def test_subordinacy_report(tmp_path):
     prov = payload["provenance"]
     assert prov == {"config": config_digest(cfg), "version": __version__,
                     "seed": 0}
+
+
+def test_subordinacy_takes_solution_values(tmp_path):
+    # cos(pi n / 2) solves the free line at energy 0: given as values on
+    # sites -264 .. 264 it yields the records of the built-in cosine root
+    first = -264
+    values = np.cos(np.pi * np.arange(first, -first + 1) / 2).tolist()
+    payloads = []
+    for solution in ({"type": "values", "values": values, "first_site": first},
+                     {"type": "cosine_root"}):
+        cfg = {"operator": FREE_OPERATOR, "energy": 0.0, "radii": [64, 128],
+               "solution": solution}
+        assert main(["subordinacy", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == 0
+        payloads.append(json.loads((tmp_path / "subordinacy.json").read_text()))
+    assert payloads[0]["ok"] is True
+    assert payloads[0]["records"] == payloads[1]["records"]
 
 
 def test_duality_report(tmp_path):

@@ -131,15 +131,18 @@ def test_neutral_frame_matches_complement_and_four_frame_intersection():
     assert principal_angles(split.center, reference).max() < 1e-12
 
 
-def test_splitting_converges_one_frame_per_direction(converged_frames):
+def test_splitting_converges_one_frame_per_direction(converged_frames, segment_carries):
     # a forward and a backward frame at the base phase and at the next
-    # phase of the invariance check, at real and complex energies alike
+    # phase of the invariance check, at real and complex energies alike;
+    # each crosses its 128-step window as one cached block product
     strip, energy = mixed_strip()
     for shift in (0.0, 1e-3j):
         converged_frames.clear()
+        segment_carries.clear()
         split = compute_splitting(transfer_cocycle(strip, energy + shift), 0.0, (1, 2, 1))
         assert split.center.shape == (4, 2)
         assert len(converged_frames) == 4
+        assert segment_carries == [3] * 4
 
 
 def test_swept_frames_match_frames_converged_at_each_phase():

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import random_line, random_strip
+from conftest import random_line, random_strip, reference_frame
 from test_acceptance import kernel_suite
 from qplattice.cocycle import transfer_cocycle
 from qplattice.corpus import spectrum_sample
@@ -21,7 +21,6 @@ from qplattice.operators import (
     free_laplacian,
     operator_from_config,
 )
-from qplattice.splitting import _carried_frames
 from qplattice.weyl import (
     GRAPH_STABLE_TOL,
     GRAPH_WINDOW_MAX,
@@ -136,11 +135,11 @@ K3_ENERGY = 1.787822883576401 + 0.01j
 
 def _restarted_frame(cocycle, theta, n_cols):
     # The loop the cached products replaced: every window converges the
-    # seed-11 frame from scratch, one transport step at a time.
+    # seed-11 frame from scratch, one QR step at a time.
     prev = None
     n = GRAPH_WINDOW_START
     while n <= GRAPH_WINDOW_MAX:
-        frame = _carried_frames(cocycle, theta, n, 0, n_cols, seed=11)[0]
+        frame = reference_frame(cocycle, theta, n, n_cols, seed=11, backward=False)
         if prev is not None and np.sin(principal_angles(prev, frame)[-1]) < GRAPH_STABLE_TOL:
             return frame, n
         prev = frame
