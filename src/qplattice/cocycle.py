@@ -49,6 +49,11 @@ KAPPA = 1e3
 # the block's own stretch of the orbit.
 PRODUCT_FLOOR = 64
 
+# Steps per aligned block of `_state_sweep`, and most steps per batch of
+# stacked per-step work: a batch's temporaries stay below one chunk's.
+SWEEP_BLOCK = 32
+SWEEP_BATCH = 8 * SWEEP_BLOCK
+
 # Longest block, in steps, across which `_qr_engine` carries its frame
 # with one QR.
 BLOCK_STEPS = 8
@@ -211,6 +216,97 @@ def orbit_matrices(cocycle, phases):
     at a time, from one cocycle call per chunk of steps."""
     for stack in _orbit_chunks(cocycle, phases):
         yield from stack
+
+
+# ── state sweeps ────────────────────────────────────────────────────────────
+
+def _batches(chunks):
+    # Views of at most SWEEP_BATCH steps into each stack: whole aligned
+    # blocks of SWEEP_BLOCK steps, or the stack's last partial block.
+    for mats in chunks:
+        whole = len(mats) - len(mats) % SWEEP_BLOCK
+        edges = [*range(0, whole, SWEEP_BATCH), whole, len(mats)]
+        for lo, hi in zip(edges, edges[1:]):
+            if hi > lo:
+                yield mats[lo:hi]
+
+
+def _pow2_scale(p):
+    # Scale each matrix of the contiguous stack p in place by the power of
+    # two that brings its largest entry into [1, 2); return the exponents
+    # that undo it.  The scaling is exact, so products of scaled matrices
+    # keep the bits of the unscaled ones wherever those stay finite.
+    real = p.view(np.float64) if np.iscomplexobj(p) else p
+    # the largest |entry| by halving: numpy reduces short rows slowly
+    biggest = np.abs(real).reshape(real.shape[:-2] + (-1,))
+    while biggest.shape[-1] > 1:
+        half = (biggest.shape[-1] + 1) // 2
+        biggest = np.maximum(biggest[..., :half], biggest[..., -half:])
+    if not np.isfinite(biggest).all():
+        raise ConvergenceError("non-finite step in the state sweep")
+    expo = np.frexp(biggest[..., 0])[1] - 1
+    real *= np.ldexp(1.0, -expo)[..., None, None]
+    return expo
+
+
+def _stack_product(a, b):
+    # a @ b over stacks of small matrices, one broadcast multiply-add per
+    # inner index: numpy's matmul makes one BLAS call per complex matrix.
+    out = a[..., :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j:j + 1] * b[..., j:j + 1, :]
+    return out
+
+
+def _block_prefixes(mats):
+    # Prefix products within each block of a batch, in transport order
+    # (the later step on the left), by a Hillis-Steele scan: at level s
+    # every step at least s into its block takes on the prefix ending s
+    # steps earlier.  The product at step n is prefix[n] * 2**expo[n].
+    prefix = np.array(mats)
+    expo = _pow2_scale(prefix)
+    size = min(len(prefix), SWEEP_BLOCK)
+    p = prefix.reshape((-1, size) + prefix.shape[1:])
+    e = expo.reshape((-1, size) + expo.shape[1:])
+    s = 1
+    while s < size:
+        product = _stack_product(p[:, s:], p[:, :-s])
+        level = _pow2_scale(product)
+        p[:, s:] = product
+        e[:, s:] += e[:, :-s] + level
+        s *= 2
+    return prefix, expo
+
+
+def _state_sweep(chunks, v):
+    """Carry the unit state ``v`` (shape ``(..., d)``) along ``chunks``,
+    stacks of fiber matrices in the order they act, each a whole number
+    of ``SWEEP_BLOCK`` steps but the last.
+
+    Yields ``(states, logs)`` per batch (`_batches`): unit states after
+    each step and the logs of their norms, so that ``v`` carried over the
+    batch's first k steps is ``exp(logs[k-1]) * states[k-1]``.  A state
+    crosses each block with one product by the block's prefixes, which
+    carry exact power-of-two scales and stay finite wherever the steps
+    are.  A non-finite step, or a state that vanishes within a block,
+    raises ``ConvergenceError``.
+    """
+    v = np.asarray(v)
+    log = np.zeros(v.shape[:-1])
+    for mats in _batches(chunks):
+        prefix, expo = _block_prefixes(mats)
+        states = np.empty(prefix.shape[:-1], dtype=np.result_type(prefix, v))
+        logs = np.empty(prefix.shape[:-2])
+        for start in range(0, len(prefix), SWEEP_BLOCK):
+            block = slice(start, start + SWEEP_BLOCK)
+            w = _stack_product(prefix[block], v[..., None])[..., 0]
+            norm = np.linalg.norm(w, axis=-1)
+            if not norm.all():
+                raise ConvergenceError("state vanished in the state sweep")
+            states[block] = w / norm[..., None]
+            logs[block] = log + (np.log(norm) + expo[block] * np.log(2.0))
+            v, log = states[block][-1], logs[block][-1]
+        yield states, logs
 
 
 # ── cached orbit products ────────────────────────────────────────────────────
@@ -435,19 +531,16 @@ def rotation_number(cocycle, n_steps, samples=8, phases=None):
     if np.linalg.det(np.real(probe[0])) <= 0:
         raise ArgumentError("rotation number needs positive determinant")
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    ns = len(phases)
-    v = np.tile(np.array([1.0, 0.0]), (ns, 1))
-    total = np.zeros(ns)
-    ang = np.arctan2(v[:, 1], v[:, 0])
     orbit = phases + cocycle.alpha * np.arange(n_steps)[:, None]
-    for mats in orbit_matrices(cocycle, orbit):
-        v = np.einsum("sij,sj->si", np.real(mats), v)
-        new_ang = np.arctan2(v[:, 1], v[:, 0])
-        delta = new_ang - ang
+    chunks = map(np.real, _orbit_chunks(cocycle, orbit, SWEEP_BLOCK))
+    ang = total = np.zeros(len(phases))
+    for states, _ in _state_sweep(chunks, np.tile([1.0, 0.0], (len(phases), 1))):
+        angles = np.arctan2(states[..., 1], states[..., 0])
+        delta = np.diff(angles, axis=0, prepend=ang[None])
         delta -= 2 * np.pi * np.round(delta / (2 * np.pi))
-        total += delta
-        ang = new_ang
-        v /= np.linalg.norm(v, axis=1)[:, None]
+        # summed in step order, as one increment at a time would be
+        total = np.cumsum(np.concatenate([total[None], delta]), axis=0)[-1]
+        ang = angles[-1]
     rho = (total / (2 * np.pi * n_steps)) % 1.0
     # average on the circle to avoid wrap artifacts near 0
     mean = np.angle(np.mean(np.exp(2j * np.pi * rho))) / (2 * np.pi) % 1.0

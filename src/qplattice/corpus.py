@@ -22,13 +22,15 @@ from .operators import (
     unfold_vector,
 )
 from .cocycle import (
+    SWEEP_BLOCK,
+    _batches,
+    _orbit_chunks,
+    _state_sweep,
     acceleration,
-    orbit_matrices,
     rotation_number,
     top_lyapunov,
     transfer_cocycle,
 )
-from .symplectic import wronskian
 from .splitting import compute_splitting, center_growth
 from .measures import ids
 from .longrange import subordinacy_probe
@@ -98,59 +100,59 @@ def _check(label, value, limit):
     }
 
 
-def _wronskian_drift(strip, energy, theta, x0, y0, n_steps):
-    """Largest relative drift of the solution pairing along an orbit.
+def _pairings(strip, energy, theta, x0, y0, n_steps):
+    """Pairings of two solutions at steps 0 .. n_steps of an orbit, over
+    the scale of step 0: step 0 alone, then one array per batch.
 
     The pairing is constant for any two solutions, but a hyperbolic
     orbit destroys a forward-iterated contracting solution within a few
-    dozen steps (rounding noise grows at the top rate).  So the x
-    solution is seeded at step 0 and propagated forward while the y
-    solution is seeded at step n and propagated backward; each iteration
-    then follows its numerically stable direction.  Both vectors are
-    renormalized per step with scales tracked in log form, and the
-    pairing values are compared after removing the common (constant)
-    scale, so nothing overflows even at large exponents.
+    dozen steps (rounding noise grows at the top rate).  So x is seeded
+    at step 0 and swept forward while y is seeded at step n and swept
+    backward, each in its numerically stable direction.  The sweeps
+    (`cocycle._state_sweep`) return unit states and log scales, so
+    nothing overflows even at large exponents.
     """
     c = transfer_cocycle(strip, energy)
-    x = np.asarray(x0, dtype=complex)
-    x = x / np.linalg.norm(x)
-
-    # backward sweep: y at steps n_steps .. 0, unit vectors + log scales
-    y = np.asarray(y0, dtype=complex)
-    y = y / np.linalg.norm(y)
-    y_states = np.empty((n_steps + 1,) + y.shape, dtype=complex)
-    y_logs = np.empty(n_steps + 1)
-    y_states[n_steps] = y
-    y_logs[n_steps] = 0.0
-    # The sweep solves against the forward steps instead of stepping
-    # c.inverse(): the inverse cocycle evaluates A at x - alpha, which
-    # rounds the phases differently from the forward sweep, and the AMO
-    # off-spectrum pairing check then reads 1.4e-10, not 8.2e-11 (< 1e-10).
+    m = strip.width
+    y_states = np.empty((n_steps + 1, 2 * m), dtype=complex)
+    y_logs = np.zeros(n_steps + 1)
+    y_states[n_steps] = y = np.asarray(y0, dtype=complex) / np.linalg.norm(y0)
+    # The backward sweep inverts the forward steps at their own phases, a
+    # batch at a time: stepping c.inverse() evaluates A at x - alpha, which
+    # rounds the phases differently, and the AMO off-spectrum check then
+    # read 1.4e-10.
     backward = np.arange(n_steps - 1, -1, -1)
-    for n, a in zip(backward, orbit_matrices(c, theta + c.alpha * backward)):
-        y = np.linalg.solve(a, y)
-        sy = np.linalg.norm(y)
-        y = y / sy
-        y_states[n] = y
-        y_logs[n] = y_logs[n + 1] + np.log(sy)
+    steps = _batches(_orbit_chunks(c, theta + c.alpha * backward, SWEEP_BLOCK))
+    top = n_steps
+    for states, logs in _state_sweep(map(np.linalg.inv, steps), y):
+        y_states[top - len(states):top] = states[::-1]
+        y_logs[top - len(states):top] = logs[::-1]
+        top -= len(states)
 
-    forward = orbit_matrices(c, theta + c.alpha * np.arange(n_steps))
-    log_x = 0.0
-    base = None
-    drift = 0.0
-    scale = 0.0
-    for n in range(n_steps + 1):
-        w = wronskian(strip.coupling, x, y_states[n])
-        if base is None:
-            base = (log_x + y_logs[0], w)
-        value = w * np.exp(log_x + y_logs[n] - base[0])
-        drift = max(drift, abs(value - base[1]))
-        scale = max(scale, abs(value))
-        if n < n_steps:
-            x = next(forward) @ x
-            sx = np.linalg.norm(x)
-            x = x / sx
-            log_x += np.log(sx)
+    def pair(x, log_x, n):
+        y, k = y_states[n:n + len(x)], strip.coupling
+        w = np.sum(x[:, m:].conj() * (y[:, :m] @ k.T) - x[:, :m].conj() * (y[:, m:] @ k.conj()),
+                   axis=1)
+        return w * np.exp(log_x + y_logs[n:n + len(x)] - y_logs[0])
+
+    x = np.asarray(x0, dtype=complex) / np.linalg.norm(x0)
+    yield pair(x[None], np.zeros(1), 0)
+    n = 1
+    chunks = _orbit_chunks(c, theta + c.alpha * np.arange(n_steps), SWEEP_BLOCK)
+    for states, logs in _state_sweep(chunks, x):
+        yield pair(states, logs, n)
+        n += len(states)
+
+
+def _wronskian_drift(strip, energy, theta, x0, y0, n_steps):
+    """Largest drift of the solution pairing along an orbit, relative to
+    its largest value (see `_pairings`)."""
+    values = _pairings(strip, energy, theta, x0, y0, n_steps)
+    base = next(values)[0]
+    drift, scale = 0.0, float(abs(base))
+    for v in values:
+        drift = max(drift, float(np.abs(v - base).max()))
+        scale = max(scale, float(np.abs(v).max()))
     if scale <= 0:
         raise ArgumentError("seed states pair to zero; pick a generic pair")
     return drift / scale

@@ -27,7 +27,14 @@ from .linalg import (
     restriction_norm,
 )
 from .symplectic import form_defect, reverse_norm_constant
-from .cocycle import _Segment, finite_window_rates, orbit_matrices, transfer_cocycle
+from .cocycle import (
+    _Segment,
+    _batches,
+    _orbit_chunks,
+    finite_window_rates,
+    orbit_matrices,
+    transfer_cocycle,
+)
 
 DEFAULT_WINDOW = 128
 GAP_THRESHOLD = 1.01
@@ -277,36 +284,57 @@ def critical_set_test(splitting, floor=1e-2):
 
 
 def _neutral_steps(cocycle, splitting, n_max):
-    """Yield ``(n, q, log_scale, rprod)`` after each step n = 1 .. n_max
-    of the splitting's neutral frame along the orbit, with
-    ``exp(log_scale) * q @ rprod`` the n-step product on that frame.
+    """Yield ``(steps, q, log_scale, rprod)`` per batch of the orbit for
+    the steps n = 1 .. n_max of the splitting's neutral frame: stacks over
+    the batch's steps, with ``exp(log_scale[k]) * q[k] @ rprod[k]`` the
+    ``steps[k]``-step product on that frame.
 
     The frame is not carried: each step maps the neutral frame at one
     phase onto the one swept at the next and keeps the restricted step
     ``q_n^H A q_(n-1)``.  Rounding off the neutral frame therefore never
     enters the product to be amplified at the top rate, so no rebasing
     onto fresh frames is needed; what the image leaves outside the next
-    frame is checked against the invariance tolerance instead.
+    frame is checked against the invariance tolerance instead.  The
+    images, restricted steps and residuals of a batch of up to
+    ``cocycle.SWEEP_BATCH`` steps are stacked; only the d_c x d_c product
+    runs step by step.  A step that fails raises after the steps before
+    it have been yielded.
     """
     theta = splitting.theta
     frames = _frames_along(cocycle, theta, splitting.dims, splitting.window, n_max)
-    mats = orbit_matrices(cocycle, theta + cocycle.alpha * np.arange(n_max))
-    q = splitting.center
+    centers = [splitting.center] + [center for _, center, _ in frames[1:]]
     rprod = np.eye(splitting.dims[1], dtype=complex)
     log_scale = 0.0
-    for n, (a, (_, center, _)) in enumerate(zip(mats, frames[1:]), start=1):
-        image = a @ q
-        q = center
-        step = q.conj().T @ image
-        if np.linalg.norm(image - q @ step) > INVARIANCE_TOL * np.linalg.norm(image):
-            raise ConvergenceError("neutral frame not invariant at step %d" % n)
-        rprod = step @ rprod
-        scale = np.linalg.norm(rprod)
-        if scale == 0 or not np.isfinite(scale):
-            raise ConvergenceError("restricted product degenerated at step %d" % n)
-        log_scale += np.log(scale)
-        rprod = rprod / scale
-        yield n, q, log_scale, rprod
+    first = 1
+    for mats in _batches(_orbit_chunks(cocycle, theta + cocycle.alpha * np.arange(n_max))):
+        count = len(mats)
+        q = np.stack(centers[first:first + count])
+        images = mats @ np.stack(centers[first - 1:first + count - 1])
+        restricted = q.conj().swapaxes(-2, -1) @ images
+        off = (np.linalg.norm(images - q @ restricted, axis=(-2, -1))
+               > INVARIANCE_TOL * np.linalg.norm(images, axis=(-2, -1)))
+        logs = np.empty(count)
+        rprods = np.empty((count,) + rprod.shape, dtype=complex)
+        error = None
+        for k in range(count):
+            if off[k]:
+                error = "neutral frame not invariant at step %d"
+                break
+            rprod = restricted[k] @ rprod
+            scale = np.linalg.norm(rprod)
+            if scale == 0 or not np.isfinite(scale):
+                error = "restricted product degenerated at step %d"
+                break
+            log_scale += np.log(scale)
+            rprod = rprod / scale
+            logs[k], rprods[k] = log_scale, rprod
+        else:
+            k = count
+        if k:
+            yield np.arange(first, first + k), q[:k], logs[:k], rprods[:k]
+        if error:
+            raise ConvergenceError(error % (first + k))
+        first += count
 
 
 def center_growth(cocycle, splitting, n_max):
@@ -332,15 +360,16 @@ def center_growth(cocycle, splitting, n_max):
         raise ArgumentError("splitting has no neutral directions")
     out = np.empty(n_max + 1)
     out[0] = 1.0
-    for n, _, log_scale, rprod in _neutral_steps(cocycle, splitting, n_max):
-        log_norm = log_scale + np.log(np.linalg.norm(rprod, 2))
-        if log_norm > 350.0:
+    for steps, _, log_scale, rprod in _neutral_steps(cocycle, splitting, n_max):
+        log_norm = log_scale + np.log(np.linalg.norm(rprod, 2, axis=(-2, -1)))
+        over = np.flatnonzero(log_norm > 350.0)
+        if len(over):
             raise ConvergenceError(
                 "neutral restricted growth overflowed at step %d; "
-                "the certificates were unreliable" % n
+                "the certificates were unreliable" % steps[over[0]]
             )
-        out[n] = max(out[n - 1], float(np.exp(2.0 * log_norm)))
-    return out
+        out[steps] = np.exp(2.0 * log_norm)
+    return np.maximum.accumulate(out)
 
 
 # ── telescoping inequality for perturbed chains ──────────────────────────────
@@ -534,12 +563,13 @@ def center_variation_check(strip, energy, theta=0.0,
         p_inv = np.linalg.inv(p_mat)
 
         values = {}
-        for n, q, log_scale, rprod in _neutral_steps(shifted, split_eps,
-                                                    checkpoints[-1]):
-            if n in stations:
+        for steps, q, log_scale, rprod in _neutral_steps(shifted, split_eps,
+                                                        checkpoints[-1]):
+            for k in np.flatnonzero(np.isin(steps, checkpoints)):
+                n = int(steps[k])
                 qc_n, proj_n = stations[n]
-                coord = qc_n.conj().T @ proj_n @ q @ rprod @ p_inv
-                values[n] = float(np.exp(log_scale) * np.linalg.norm(coord, 2))
+                coord = qc_n.conj().T @ proj_n @ q[k] @ rprod[k] @ p_inv
+                values[n] = float(np.exp(log_scale[k]) * np.linalg.norm(coord, 2))
         growth[eps] = values
 
         if eps == 0.0:

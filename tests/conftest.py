@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qplattice import cocycle, splitting
+from qplattice import cocycle, corpus, splitting
 from qplattice.operators import (
     GOLDEN_MEAN,
     Hopping,
@@ -16,8 +16,8 @@ from qplattice.operators import (
     Potential,
     fold_to_strip,
 )
-from qplattice.linalg import orthonormal_columns
-from qplattice.symplectic import pairing_matrix
+from qplattice.linalg import ConvergenceError, orthonormal_columns
+from qplattice.symplectic import pairing_matrix, wronskian
 
 
 def random_phase(rng, lo=0.15, hi=1.2):
@@ -118,6 +118,101 @@ def reference_growth_constant(records):
     return float(worst)
 
 
+# ── the per-step loops the state sweep replaced ─────────────────────────────
+#
+# Each steps one matrix at a time, as the library did before
+# `cocycle._state_sweep`, and serves as its reference.
+
+
+def reference_rotation_number(c, n_steps, samples=8, phases=None):
+    """Rotation number and spread from one angle increment per step."""
+    if phases is None:
+        phases = cocycle.phase_lattice(samples)
+    phases = np.atleast_1d(np.asarray(phases, dtype=float))
+    v = np.tile(np.array([1.0, 0.0]), (len(phases), 1))
+    total = np.zeros(len(phases))
+    ang = np.arctan2(v[:, 1], v[:, 0])
+    orbit = phases + c.alpha * np.arange(n_steps)[:, None]
+    for mats in cocycle.orbit_matrices(c, orbit):
+        v = np.einsum("sij,sj->si", np.real(mats), v)
+        new_ang = np.arctan2(v[:, 1], v[:, 0])
+        delta = new_ang - ang
+        delta -= 2 * np.pi * np.round(delta / (2 * np.pi))
+        total += delta
+        ang = new_ang
+        v /= np.linalg.norm(v, axis=1)[:, None]
+    rho = (total / (2 * np.pi * n_steps)) % 1.0
+    mean = np.angle(np.mean(np.exp(2j * np.pi * rho))) / (2 * np.pi) % 1.0
+    spread = float(np.abs(np.exp(2j * np.pi * rho)
+                          - np.exp(2j * np.pi * mean)).max()) / (2 * np.pi)
+    return float(mean), spread
+
+
+def reference_center_growth(c, split, n_max):
+    """Envelope of the restricted growth, one restricted step at a time
+    between the neutral frames swept along the orbit."""
+    theta = split.theta
+    frames = splitting._frames_along(c, theta, split.dims, split.window, n_max)
+    q = split.center
+    rprod = np.eye(split.dims[1], dtype=complex)
+    log_scale = 0.0
+    out = np.empty(n_max + 1)
+    out[0] = 1.0
+    mats = cocycle.orbit_matrices(c, theta + c.alpha * np.arange(n_max))
+    for n, (a, (_, center, _)) in enumerate(zip(mats, frames[1:]), start=1):
+        image = a @ q
+        q = center
+        step = q.conj().T @ image
+        if np.linalg.norm(image - q @ step) > splitting.INVARIANCE_TOL * np.linalg.norm(image):
+            raise ConvergenceError("neutral frame not invariant at step %d" % n)
+        rprod = step @ rprod
+        scale = np.linalg.norm(rprod)
+        if scale == 0 or not np.isfinite(scale):
+            raise ConvergenceError("restricted product degenerated at step %d" % n)
+        log_scale += np.log(scale)
+        rprod = rprod / scale
+        log_norm = log_scale + np.log(np.linalg.norm(rprod, 2))
+        if log_norm > 350.0:
+            raise ConvergenceError("neutral restricted growth overflowed at step %d" % n)
+        out[n] = max(out[n - 1], float(np.exp(2.0 * log_norm)))
+    return out
+
+
+def reference_wronskian_drift(strip, energy, theta, x0, y0, n_steps):
+    """The pairing drift and the pairings at steps 0 .. n_steps (over the
+    scale of step 0), from one solve backward and one matmul forward per
+    step, each state renormalised."""
+    c = cocycle.transfer_cocycle(strip, energy)
+    y = np.asarray(y0, dtype=complex)
+    y = y / np.linalg.norm(y)
+    y_states = np.empty((n_steps + 1,) + y.shape, dtype=complex)
+    y_logs = np.empty(n_steps + 1)
+    y_states[n_steps] = y
+    y_logs[n_steps] = 0.0
+    backward = np.arange(n_steps - 1, -1, -1)
+    for n, a in zip(backward, cocycle.orbit_matrices(c, theta + c.alpha * backward)):
+        y = np.linalg.solve(a, y)
+        sy = np.linalg.norm(y)
+        y = y / sy
+        y_states[n] = y
+        y_logs[n] = y_logs[n + 1] + np.log(sy)
+    x = np.asarray(x0, dtype=complex)
+    x = x / np.linalg.norm(x)
+    log_x = 0.0
+    values = np.empty(n_steps + 1, dtype=complex)
+    forward = cocycle.orbit_matrices(c, theta + c.alpha * np.arange(n_steps))
+    for n in range(n_steps + 1):
+        values[n] = (wronskian(strip.coupling, x, y_states[n])
+                     * np.exp(log_x + y_logs[n] - y_logs[0]))
+        if n < n_steps:
+            x = next(forward) @ x
+            sx = np.linalg.norm(x)
+            x = x / sx
+            log_x += np.log(sx)
+    drift = np.abs(values - values[0]).max() / np.abs(values).max()
+    return float(drift), values
+
+
 @pytest.fixture
 def rate_windows(monkeypatch):
     """Arguments of every finite_window_rates call the splitting module
@@ -162,6 +257,22 @@ def block_certificates(monkeypatch):
 
     monkeypatch.setattr(cocycle, "_certified_qr", counted)
     return counts
+
+
+@pytest.fixture
+def orbit_sweeps(monkeypatch):
+    """Calls of the state-sweep kernel during the test, one entry (the
+    state's shape) per sweep, from the modules that sweep states."""
+    calls = []
+    real = cocycle._state_sweep
+
+    def counted(chunks, v):
+        calls.append(np.shape(v))
+        return real(chunks, v)
+
+    for module in (cocycle, corpus):
+        monkeypatch.setattr(module, "_state_sweep", counted)
+    return calls
 
 
 @pytest.fixture

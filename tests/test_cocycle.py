@@ -1,14 +1,25 @@
 """Cocycle products: exponents, rotation numbers, complexified growth."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_hsp_cocycle, random_line, random_strip, reference_frame
+from conftest import (
+    random_hsp_cocycle,
+    random_line,
+    random_strip,
+    reference_center_growth,
+    reference_frame,
+    reference_rotation_number,
+)
 from qplattice.cocycle import (
     BLOCK_STEPS,
     ORBIT_CHUNK_ENTRIES,
+    SWEEP_BLOCK,
     Cocycle,
+    _state_sweep,
     acceleration,
     companion_cocycle,
     energy_monotonicity,
@@ -22,9 +33,12 @@ from qplattice.cocycle import (
     transfer_cocycle,
     upper_lyapunov_sum,
 )
+from qplattice.corpus import spectrum_sample
 from qplattice.linalg import (
     ArgumentError,
+    ConvergenceError,
     eigenvalues_banded,
+    orthonormal_columns,
     principal_angles,
 )
 from qplattice.operators import (
@@ -38,6 +52,7 @@ from qplattice.splitting import (
     _carried_frames,
     _frames_along,
     center_growth,
+    compute_splitting,
     detect_splitting,
 )
 from qplattice.symplectic import form_defect
@@ -430,3 +445,117 @@ def test_neutral_growth_matches_per_step_loop_on_mixed_splitting():
         reference = reference_neutral_growth(cocycle, split, n_max, backward,
                                              rebase_every, fresh_window)
         np.testing.assert_allclose(values, reference, rtol=1e-10, atol=0)
+
+
+# ── the state sweep against the per-step loops it replaced ───────────────────
+
+
+def gap_energy(op, n_sites=987):
+    # midpoint of the widest gap between interior truncation eigenvalues
+    eigs = np.sort(eigenvalues_banded(op.assemble_banded(n_sites)))[100:-100]
+    k = np.argmax(np.diff(eigs))
+    return 0.5 * (eigs[k] + eigs[k + 1])
+
+
+def rotation_cases():
+    free = fold_to_strip(free_laplacian())
+    yield transfer_cocycle(free, 0.0)
+    yield transfer_cocycle(free, 1.3)
+    for lam in (0.5, 2.0):
+        op = almost_mathieu(lam)
+        for energy in list(spectrum_sample(op, 3)) + [gap_energy(op)]:
+            yield transfer_cocycle(fold_to_strip(op), float(energy))
+
+
+def test_rotation_number_matches_per_step_loop():
+    # the free line, and AMO in the spectrum and in its widest gap
+    for cocycle in rotation_cases():
+        value = rotation_number(cocycle, 4000)
+        reference = reference_rotation_number(cocycle, 4000)
+        np.testing.assert_allclose(value, reference, rtol=0, atol=1e-12)
+
+
+def test_rotation_number_takes_one_sweep(orbit_sweeps):
+    rotation_number(transfer_cocycle(fold_to_strip(free_laplacian()), 0.0), 4000)
+    assert orbit_sweeps == [(8, 2)]
+
+
+def overflowing_cocycle():
+    # 32 steps of diag(1e60, 1e-60) overflow an unscaled block product
+    step = np.diag([1e60, 1e-60])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.linalg.matrix_power(step, SWEEP_BLOCK)).all()
+    return Cocycle(GOLDEN_MEAN, lambda x: np.broadcast_to(step, np.shape(x) + (2, 2)), 2)
+
+
+def test_state_sweep_carries_states_across_overflowing_blocks():
+    cocycle = overflowing_cocycle()
+    assert rotation_number(cocycle, 100) == reference_rotation_number(cocycle, 100) \
+        == (0.0, 0.0)
+    n_steps = 3 * SWEEP_BLOCK + 5
+    mats = cocycle.matrices(np.zeros(n_steps))
+    for v in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
+        states, logs = map(np.concatenate, zip(*_state_sweep([mats], v)))
+        log = 0.0
+        for a, state, log_norm in zip(mats, states, logs):
+            v = a @ v
+            norm = np.linalg.norm(v)
+            v, log = v / norm, log + np.log(norm)
+            np.testing.assert_allclose(state, v, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(log_norm, log, rtol=1e-14)
+
+
+def test_state_sweep_raises_on_a_vanishing_state():
+    # the most contracted direction underflows inside a block: the sweep
+    # raises instead of dividing by a zero norm
+    mats = overflowing_cocycle().matrices(np.zeros(SWEEP_BLOCK))
+    with pytest.raises(ConvergenceError, match="vanished"):
+        list(_state_sweep([mats], np.array([0.0, 1.0])))
+
+
+def test_state_sweep_raises_on_a_non_finite_step():
+    def matrix_fn(phases):
+        bad = np.asarray(phases) > 40 * GOLDEN_MEAN
+        return np.where(bad[..., None, None], np.inf, rotation_cocycle(0.3).matrices(phases))
+
+    cocycle = Cocycle(GOLDEN_MEAN, matrix_fn, 2)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        rotation_number(cocycle, 64, phases=[0.0])
+
+
+def test_center_growth_matches_per_step_loop():
+    # bitwise, across chunk boundaries, forward and on the inverse: the
+    # mixed (1, 2, 1) strip and AMO(0.5) inside its spectrum
+    line = random_line(np.random.default_rng(0), 2)
+    energy = np.sort(eigenvalues_banded(line.assemble_banded(400)))[200]
+    cocycle = transfer_cocycle(fold_to_strip(line), energy)
+    cases = [(cocycle, detect_splitting(cocycle, 0.0), 1100)]
+    amo = almost_mathieu(0.5)
+    for energy in spectrum_sample(amo, 3):
+        cocycle = transfer_cocycle(fold_to_strip(amo), float(energy))
+        cases.append((cocycle, compute_splitting(cocycle, 0.0, (0, 2, 0)), 2100))
+    assert cases[0][1].dims == (1, 2, 1)
+    for cocycle, split, n_max in cases:
+        for c in (cocycle, cocycle.inverse()):
+            assert np.array_equal(center_growth(c, split, n_max),
+                                  reference_center_growth(c, split, n_max))
+
+
+def test_center_growth_raises_as_the_per_step_loop():
+    # the first failing step, and what fails there: a tilted frame leaves
+    # the neutral frame at step 1; declared neutral off the free spectrum,
+    # the growth overflows at step 364, in the second batch of steps
+    line = random_line(np.random.default_rng(0), 2)
+    energy = np.sort(eigenvalues_banded(line.assemble_banded(400)))[200]
+    cocycle = transfer_cocycle(fold_to_strip(line), energy)
+    split = compute_splitting(cocycle, 0.0, (1, 2, 1))
+    tilted = replace(split, center=orthonormal_columns(split.center + 1e-3 * split.unstable))
+    free = transfer_cocycle(fold_to_strip(free_laplacian()), 3.0)
+    cases = [(cocycle, tilted), (free, compute_splitting(free, 0.0, (0, 2, 0)))]
+    for base, splitting in cases:
+        for c in (base, base.inverse()):
+            with pytest.raises(ConvergenceError) as raised:
+                center_growth(c, splitting, 1000)
+            with pytest.raises(ConvergenceError) as expected:
+                reference_center_growth(c, splitting, 1000)
+            assert str(raised.value).startswith(str(expected.value))
