@@ -237,25 +237,12 @@ def _pow2_scale(p):
     # that undo it.  The scaling is exact, so products of scaled matrices
     # keep the bits of the unscaled ones wherever those stay finite.
     real = p.view(np.float64) if np.iscomplexobj(p) else p
-    # the largest |entry| by halving: numpy reduces short rows slowly
-    biggest = np.abs(real).reshape(real.shape[:-2] + (-1,))
-    while biggest.shape[-1] > 1:
-        half = (biggest.shape[-1] + 1) // 2
-        biggest = np.maximum(biggest[..., :half], biggest[..., -half:])
+    biggest = np.abs(real).max(axis=(-2, -1))
     if not np.isfinite(biggest).all():
         raise ConvergenceError("non-finite step in the state sweep")
-    expo = np.frexp(biggest[..., 0])[1] - 1
+    expo = np.frexp(biggest)[1] - 1
     real *= np.ldexp(1.0, -expo)[..., None, None]
     return expo
-
-
-def _stack_product(a, b):
-    # a @ b over stacks of small matrices, one broadcast multiply-add per
-    # inner index: numpy's matmul makes one BLAS call per complex matrix.
-    out = a[..., :1] * b[..., :1, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., j:j + 1] * b[..., j:j + 1, :]
-    return out
 
 
 def _block_prefixes(mats):
@@ -270,7 +257,7 @@ def _block_prefixes(mats):
     e = expo.reshape((-1, size) + expo.shape[1:])
     s = 1
     while s < size:
-        product = _stack_product(p[:, s:], p[:, :-s])
+        product = p[:, s:] @ p[:, :-s]
         level = _pow2_scale(product)
         p[:, s:] = product
         e[:, s:] += e[:, :-s] + level
@@ -288,8 +275,11 @@ def _state_sweep(chunks, v):
     batch's first k steps is ``exp(logs[k-1]) * states[k-1]``.  A state
     crosses each block with one product by the block's prefixes, which
     carry exact power-of-two scales and stay finite wherever the steps
-    are.  A non-finite step, or a state that vanishes within a block,
-    raises ``ConvergenceError``.
+    are.  A state lying in a direction that a block contracts past the
+    range of floating point underflows in the block's product; that block
+    is then stepped one matrix at a time (`_step_states`).  A non-finite
+    step, or a state that one step maps to zero, raises
+    ``ConvergenceError``.
     """
     v = np.asarray(v)
     log = np.zeros(v.shape[:-1])
@@ -299,14 +289,32 @@ def _state_sweep(chunks, v):
         logs = np.empty(prefix.shape[:-2])
         for start in range(0, len(prefix), SWEEP_BLOCK):
             block = slice(start, start + SWEEP_BLOCK)
-            w = _stack_product(prefix[block], v[..., None])[..., 0]
+            w = (prefix[block] @ v[..., None])[..., 0]
             norm = np.linalg.norm(w, axis=-1)
-            if not norm.all():
-                raise ConvergenceError("state vanished in the state sweep")
-            states[block] = w / norm[..., None]
-            logs[block] = log + (np.log(norm) + expo[block] * np.log(2.0))
+            if norm.all():
+                states[block] = w / norm[..., None]
+                logs[block] = log + (np.log(norm) + expo[block] * np.log(2.0))
+            else:
+                states[block], logs[block] = _step_states(mats[block], v, log)
             v, log = states[block][-1], logs[block][-1]
         yield states, logs
+
+
+def _step_states(mats, v, log):
+    # The unit states and log norms of v carried across mats one step at
+    # a time, each step scaled as in `_block_prefixes`.
+    steps = np.array(mats)
+    expo = _pow2_scale(steps)
+    states = np.empty(steps.shape[:-1], dtype=np.result_type(steps, v))
+    logs = np.empty(steps.shape[:-2])
+    for k, a in enumerate(steps):
+        w = (a @ v[..., None])[..., 0]
+        norm = np.linalg.norm(w, axis=-1)
+        if not norm.all():
+            raise ConvergenceError("state vanished in the state sweep")
+        v = states[k] = w / norm[..., None]
+        log = logs[k] = log + (np.log(norm) + expo[k] * np.log(2.0))
+    return states, logs
 
 
 # ── cached orbit products ────────────────────────────────────────────────────

@@ -32,6 +32,7 @@ from .cocycle import (
     transfer_cocycle,
 )
 from .splitting import compute_splitting, center_growth
+from .symplectic import wronskian
 from .measures import ids
 from .longrange import subordinacy_probe
 
@@ -130,9 +131,7 @@ def _pairings(strip, energy, theta, x0, y0, n_steps):
         top -= len(states)
 
     def pair(x, log_x, n):
-        y, k = y_states[n:n + len(x)], strip.coupling
-        w = np.sum(x[:, m:].conj() * (y[:, :m] @ k.T) - x[:, :m].conj() * (y[:, m:] @ k.conj()),
-                   axis=1)
+        w = wronskian(strip.coupling, x, y_states[n:n + len(x)])
         return w * np.exp(log_x + y_logs[n:n + len(x)] - y_logs[0])
 
     x = np.asarray(x0, dtype=complex) / np.linalg.norm(x0)

@@ -73,13 +73,16 @@ def wronskian(coupling, x_state, y_state):
     States stack the next value on top: ``x = (u(n+1), u(n))``.  The value
     ``u(n)* C v(n+1) - u(n+1)* C* v(n)`` equals the pairing of the two
     states and is independent of n when both sequences solve the same
-    difference equation.
+    difference equation.  Stacks of states (last axis ``2m``) pair entry
+    by entry into an array; two single states give a complex number.
     """
     c = np.atleast_2d(np.asarray(coupling, dtype=complex))
     m = c.shape[0]
-    x = np.asarray(x_state).reshape(2 * m)
-    y = np.asarray(y_state).reshape(2 * m)
-    return complex(x[m:].conj() @ c @ y[:m] - x[:m].conj() @ c.conj().T @ y[m:])
+    x = np.asarray(x_state)
+    y = np.asarray(y_state)
+    w = np.sum(x[..., m:].conj() * (y[..., :m] @ c.T)
+               - x[..., :m].conj() * (y[..., m:] @ c.conj()), axis=-1)
+    return complex(w) if w.ndim == 0 else w
 
 
 def krein_matrix(s, frame):

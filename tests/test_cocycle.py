@@ -480,9 +480,10 @@ def test_rotation_number_takes_one_sweep(orbit_sweeps):
     assert orbit_sweeps == [(8, 2)]
 
 
-def overflowing_cocycle():
-    # 32 steps of diag(1e60, 1e-60) overflow an unscaled block product
-    step = np.diag([1e60, 1e-60])
+def overflowing_cocycle(diagonal=(1e60, 1e-60)):
+    # 32 steps of a diagonal step with entries 1e60 and 1e-60 overflow an
+    # unscaled block product
+    step = np.diag(diagonal)
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(np.linalg.matrix_power(step, SWEEP_BLOCK)).all()
     return Cocycle(GOLDEN_MEAN, lambda x: np.broadcast_to(step, np.shape(x) + (2, 2)), 2)
@@ -492,9 +493,14 @@ def test_state_sweep_carries_states_across_overflowing_blocks():
     cocycle = overflowing_cocycle()
     assert rotation_number(cocycle, 100) == reference_rotation_number(cocycle, 100) \
         == (0.0, 0.0)
+    # started in the contracted direction, the state underflows in every
+    # block's product, and the sweep steps the blocks one matrix at a time
+    cocycle = overflowing_cocycle((1e-60, 1e60))
+    assert rotation_number(cocycle, 100) == reference_rotation_number(cocycle, 100) \
+        == (0.0, 0.0)
     n_steps = 3 * SWEEP_BLOCK + 5
     mats = cocycle.matrices(np.zeros(n_steps))
-    for v in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
+    for v in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.6, 0.8])):
         states, logs = map(np.concatenate, zip(*_state_sweep([mats], v)))
         log = 0.0
         for a, state, log_norm in zip(mats, states, logs):
@@ -506,9 +512,10 @@ def test_state_sweep_carries_states_across_overflowing_blocks():
 
 
 def test_state_sweep_raises_on_a_vanishing_state():
-    # the most contracted direction underflows inside a block: the sweep
-    # raises instead of dividing by a zero norm
-    mats = overflowing_cocycle().matrices(np.zeros(SWEEP_BLOCK))
+    # a singular step maps the state to zero: stepping the block one
+    # matrix at a time finds it, and the sweep raises instead of dividing
+    # by a zero norm
+    mats = np.broadcast_to(np.diag([1.0, 0.0]), (SWEEP_BLOCK, 2, 2))
     with pytest.raises(ConvergenceError, match="vanished"):
         list(_state_sweep([mats], np.array([0.0, 1.0])))
 

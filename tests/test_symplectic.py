@@ -51,6 +51,11 @@ def test_wronskian_matches_pairing():
     x = rng.normal(size=4) + 1j * rng.normal(size=4)
     y = rng.normal(size=4) + 1j * rng.normal(size=4)
     assert np.isclose(wronskian(c, x, y), form_value(s, x, y))
+    # stacks of states pair entry by entry
+    xs = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    ys = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    np.testing.assert_allclose(wronskian(c, xs, ys),
+                               [form_value(s, a, b) for a, b in zip(xs, ys)], rtol=1e-14)
 
 
 def test_transfer_step_preserves_form():
