@@ -4,8 +4,8 @@ A cocycle is a pair (alpha, A): the base point moves by the rotation
 ``x -> x + alpha`` on the circle while a matrix ``A(x)`` acts on the fiber.
 Products along the orbit drive everything downstream: Lyapunov spectra,
 rotation numbers, phase-complexified growth (the acceleration), and the
-hyperbolic splittings.  Matrix maps must broadcast over arrays of phases
-and evaluate their analytic continuation at complex phases.
+hyperbolic splittings.  Matrix maps take arrays of phases, complex ones
+too (the analytic continuation), and may ignore them (`Cocycle.matrices`).
 """
 
 from dataclasses import dataclass
@@ -89,7 +89,12 @@ class Cocycle:
     form: np.ndarray = None
 
     def matrices(self, phases):
-        return np.asarray(self.matrix_fn(np.asarray(phases)))
+        """Matrices at ``phases``, shape ``phases.shape + (d, d)``: the one
+        matrix of a map that ignores its phases comes back broadcast."""
+        phases = np.asarray(phases)
+        mats = np.asarray(self.matrix_fn(phases))
+        shape = phases.shape + (self.dim, self.dim)
+        return mats if mats.shape == shape else np.broadcast_to(mats, shape)
 
     matrix = matrices
 
@@ -205,10 +210,7 @@ def _orbit_chunks(cocycle, phases, block=1):
     batch = int(np.prod(phases.shape[1:]))
     chunk = block * max(1, ORBIT_CHUNK_ENTRIES // (block * batch * cocycle.dim ** 2))
     for start in range(0, len(phases), chunk):
-        part = phases[start:start + chunk]
-        # a map that ignores its phases returns one matrix for the whole part
-        yield np.broadcast_to(cocycle.matrices(part),
-                              part.shape + (cocycle.dim, cocycle.dim))
+        yield cocycle.matrices(phases[start:start + chunk])
 
 
 def orbit_matrices(cocycle, phases):
@@ -222,13 +224,19 @@ def orbit_matrices(cocycle, phases):
 
 def _batches(chunks):
     # Views of at most SWEEP_BATCH steps into each stack: whole aligned
-    # blocks of SWEEP_BLOCK steps, or the stack's last partial block.
+    # SWEEP_BLOCK blocks, or its last partial block (a batch comes back whole).
     for mats in chunks:
         whole = len(mats) - len(mats) % SWEEP_BLOCK
         edges = [*range(0, whole, SWEEP_BATCH), whole, len(mats)]
         for lo, hi in zip(edges, edges[1:]):
             if hi > lo:
                 yield mats[lo:hi]
+
+
+def _orbit_batches(cocycle, phases):
+    """Fiber matrices along an orbit in the batches of `_batches`: the
+    layout of every stacked per-step computation, `_state_sweep`'s too."""
+    return _batches(_orbit_chunks(cocycle, phases, SWEEP_BLOCK))
 
 
 def _pow2_scale(p):
@@ -245,14 +253,14 @@ def _pow2_scale(p):
     return expo
 
 
-def _block_prefixes(mats):
-    # Prefix products within each block of a batch, in transport order
-    # (the later step on the left), by a Hillis-Steele scan: at level s
-    # every step at least s into its block takes on the prefix ending s
-    # steps earlier.  The product at step n is prefix[n] * 2**expo[n].
+def _block_prefixes(mats, size):
+    # Prefix products within each block of `size` steps of a batch, in
+    # transport order (the later step on the left), by a Hillis-Steele scan:
+    # at level s every step at least s into its block takes on the prefix
+    # ending s steps earlier.  The product at step n is prefix[n] * 2**expo[n].
     prefix = np.array(mats)
     expo = _pow2_scale(prefix)
-    size = min(len(prefix), SWEEP_BLOCK)
+    size = min(len(prefix), size)
     p = prefix.reshape((-1, size) + prefix.shape[1:])
     e = expo.reshape((-1, size) + expo.shape[1:])
     s = 1
@@ -268,7 +276,7 @@ def _block_prefixes(mats):
 def _state_sweep(chunks, v):
     """Carry the unit state ``v`` (shape ``(..., d)``) along ``chunks``,
     stacks of fiber matrices in the order they act, each a whole number
-    of ``SWEEP_BLOCK`` steps but the last.
+    of ``SWEEP_BLOCK`` steps but the last (`_orbit_batches` gives them).
 
     Yields ``(states, logs)`` per batch (`_batches`): unit states after
     each step and the logs of their norms, so that ``v`` carried over the
@@ -277,43 +285,36 @@ def _state_sweep(chunks, v):
     carry exact power-of-two scales and stay finite wherever the steps
     are.  A state lying in a direction that a block contracts past the
     range of floating point underflows in the block's product; that block
-    is then stepped one matrix at a time (`_step_states`).  A non-finite
-    step, or a state that one step maps to zero, raises
+    then goes through the same block loop again at blocks of one step.
+    A non-finite step, or a state that one step maps to zero, raises
     ``ConvergenceError``.
     """
     v = np.asarray(v)
     log = np.zeros(v.shape[:-1])
     for mats in _batches(chunks):
-        prefix, expo = _block_prefixes(mats)
-        states = np.empty(prefix.shape[:-1], dtype=np.result_type(prefix, v))
-        logs = np.empty(prefix.shape[:-2])
-        for start in range(0, len(prefix), SWEEP_BLOCK):
-            block = slice(start, start + SWEEP_BLOCK)
-            w = (prefix[block] @ v[..., None])[..., 0]
-            norm = np.linalg.norm(w, axis=-1)
-            if norm.all():
-                states[block] = w / norm[..., None]
-                logs[block] = log + (np.log(norm) + expo[block] * np.log(2.0))
-            else:
-                states[block], logs[block] = _step_states(mats[block], v, log)
-            v, log = states[block][-1], logs[block][-1]
+        states, logs = _sweep_blocks(mats, v, log, SWEEP_BLOCK)
+        v, log = states[-1], logs[-1]
         yield states, logs
 
 
-def _step_states(mats, v, log):
-    # The unit states and log norms of v carried across mats one step at
-    # a time, each step scaled as in `_block_prefixes`.
-    steps = np.array(mats)
-    expo = _pow2_scale(steps)
-    states = np.empty(steps.shape[:-1], dtype=np.result_type(steps, v))
-    logs = np.empty(steps.shape[:-2])
-    for k, a in enumerate(steps):
-        w = (a @ v[..., None])[..., 0]
+def _sweep_blocks(mats, v, log, size):
+    # The unit states and log norms of v carried across one batch, one
+    # product per block of `size` steps.
+    prefix, expo = _block_prefixes(mats, size)
+    states = np.empty(prefix.shape[:-1], dtype=np.result_type(prefix, v))
+    logs = np.empty(prefix.shape[:-2])
+    for start in range(0, len(prefix), size):
+        block = slice(start, start + size)
+        w = (prefix[block] @ v[..., None])[..., 0]
         norm = np.linalg.norm(w, axis=-1)
-        if not norm.all():
+        if norm.all():
+            states[block] = w / norm[..., None]
+            logs[block] = log + (np.log(norm) + expo[block] * np.log(2.0))
+        elif size > 1:
+            states[block], logs[block] = _sweep_blocks(mats[block], v, log, 1)
+        else:
             raise ConvergenceError("state vanished in the state sweep")
-        v = states[k] = w / norm[..., None]
-        log = logs[k] = log + (np.log(norm) + expo[k] * np.log(2.0))
+        v, log = states[block][-1], logs[block][-1]
     return states, logs
 
 
@@ -404,16 +405,20 @@ def _block_levels(mats):
     return levels
 
 
-def _certified_qr(block, q):
-    # QR of block @ q, or None when the BLOCK_BOUND certificate fails; a
-    # block without a finite norm is refused before its QR.
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(block, axis=(-2, -1))
-    if not np.isfinite(norm).all():
-        return None
+def _certified_qr(block, q, certify):
+    # QR of block @ q and |diag R|, or None when the BLOCK_BOUND certificate
+    # fails; a block without a finite norm fails before its QR.  A single
+    # step (certify False) has no certificate, and a non-finite one raises.
+    if certify:
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.linalg.norm(block, axis=(-2, -1))
+        if not np.isfinite(norm).all():
+            return None
+    elif not np.isfinite(block).all():
+        raise ConvergenceError("non-finite step in QR evolution")
     moved, r = np.linalg.qr(block @ q)
     diag = np.abs(np.einsum("sii->si", r))
-    if np.any(diag.min(axis=1) * BLOCK_BOUND < norm):
+    if certify and np.any(diag.min(axis=1) * BLOCK_BOUND < norm):
         return None
     return moved, diag
 
@@ -427,7 +432,7 @@ def _qr_engine(cocycle, phases, n_steps, top):
     block is used only when it passes its certificate (see
     ``BLOCK_BOUND``); otherwise its halves are tried, down to single
     steps, which need none, and the shorter length carries on to the
-    following blocks.
+    following blocks.  A non-finite step raises ``ConvergenceError``.
     """
     phases = np.atleast_1d(np.asarray(phases, dtype=complex)
                            if np.iscomplexobj(phases) else np.asarray(phases, dtype=float))
@@ -449,11 +454,7 @@ def _qr_engine(cocycle, phases, n_steps, top):
                 length //= 2
             while True:
                 block = levels[length.bit_length() - 1][pos // length]
-                if length == 1:
-                    q, r = np.linalg.qr(block @ q)
-                    diag = np.abs(np.einsum("sii->si", r))
-                    break
-                step = _certified_qr(block, q)
+                step = _certified_qr(block, q, length > 1)
                 if step is not None:
                     q, diag = step
                     break
@@ -540,9 +541,9 @@ def rotation_number(cocycle, n_steps, samples=8, phases=None):
         raise ArgumentError("rotation number needs positive determinant")
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
     orbit = phases + cocycle.alpha * np.arange(n_steps)[:, None]
-    chunks = map(np.real, _orbit_chunks(cocycle, orbit, SWEEP_BLOCK))
+    batches = map(np.real, _orbit_batches(cocycle, orbit))
     ang = total = np.zeros(len(phases))
-    for states, _ in _state_sweep(chunks, np.tile([1.0, 0.0], (len(phases), 1))):
+    for states, _ in _state_sweep(batches, np.tile([1.0, 0.0], (len(phases), 1))):
         angles = np.arctan2(states[..., 1], states[..., 0])
         delta = np.diff(angles, axis=0, prepend=ang[None])
         delta -= 2 * np.pi * np.round(delta / (2 * np.pi))

@@ -22,9 +22,7 @@ from .operators import (
     unfold_vector,
 )
 from .cocycle import (
-    SWEEP_BLOCK,
-    _batches,
-    _orbit_chunks,
+    _orbit_batches,
     _state_sweep,
     acceleration,
     rotation_number,
@@ -103,13 +101,14 @@ def _check(label, value, limit):
 
 def _pairings(strip, energy, theta, x0, y0, n_steps):
     """Pairings of two solutions at steps 0 .. n_steps of an orbit, over
-    the scale of step 0: step 0 alone, then one array per batch.
+    the scale of step 0: step 0 alone, then one array per batch of the
+    orbit (`cocycle._orbit_batches`).
 
     The pairing is constant for any two solutions, but a hyperbolic
     orbit destroys a forward-iterated contracting solution within a few
     dozen steps (rounding noise grows at the top rate).  So x is seeded
     at step 0 and swept forward while y is seeded at step n and swept
-    backward, each in its numerically stable direction.  The sweeps
+    backward, each in its numerically stable direction.  Both sweeps
     (`cocycle._state_sweep`) return unit states and log scales, so
     nothing overflows even at large exponents.
     """
@@ -123,7 +122,7 @@ def _pairings(strip, energy, theta, x0, y0, n_steps):
     # rounds the phases differently, and the AMO off-spectrum check then
     # read 1.4e-10.
     backward = np.arange(n_steps - 1, -1, -1)
-    steps = _batches(_orbit_chunks(c, theta + c.alpha * backward, SWEEP_BLOCK))
+    steps = _orbit_batches(c, theta + c.alpha * backward)
     top = n_steps
     for states, logs in _state_sweep(map(np.linalg.inv, steps), y):
         y_states[top - len(states):top] = states[::-1]
@@ -137,8 +136,8 @@ def _pairings(strip, energy, theta, x0, y0, n_steps):
     x = np.asarray(x0, dtype=complex) / np.linalg.norm(x0)
     yield pair(x[None], np.zeros(1), 0)
     n = 1
-    chunks = _orbit_chunks(c, theta + c.alpha * np.arange(n_steps), SWEEP_BLOCK)
-    for states, logs in _state_sweep(chunks, x):
+    forward = _orbit_batches(c, theta + c.alpha * np.arange(n_steps))
+    for states, logs in _state_sweep(forward, x):
         yield pair(states, logs, n)
         n += len(states)
 

@@ -29,8 +29,7 @@ from .linalg import (
 from .symplectic import form_defect, reverse_norm_constant
 from .cocycle import (
     _Segment,
-    _batches,
-    _orbit_chunks,
+    _orbit_batches,
     finite_window_rates,
     orbit_matrices,
     transfer_cocycle,
@@ -306,7 +305,7 @@ def _neutral_steps(cocycle, splitting, n_max):
     rprod = np.eye(splitting.dims[1], dtype=complex)
     log_scale = 0.0
     first = 1
-    for mats in _batches(_orbit_chunks(cocycle, theta + cocycle.alpha * np.arange(n_max))):
+    for mats in _orbit_batches(cocycle, theta + cocycle.alpha * np.arange(n_max)):
         count = len(mats)
         q = np.stack(centers[first:first + count])
         images = mats @ np.stack(centers[first - 1:first + count - 1])

@@ -327,6 +327,20 @@ def test_orbit_matrices_match_per_step_evaluation(samples):
             np.testing.assert_array_equal(a, cocycle.matrix(phase))
 
 
+def test_matrices_broadcast_only_a_map_that_ignores_its_phases():
+    step = rotation_cocycle(0.3).matrices(0.0)
+    phases = phase_lattice(4)
+    stack = np.stack([step] * 4)
+    # one matrix per phase: the map's own array, still writable
+    own = Cocycle(GOLDEN_MEAN, lambda x: stack, 2).matrices(phases)
+    assert own is stack and own.flags.writeable
+    # one matrix for every phase: a read-only broadcast over the phases
+    mats = Cocycle(GOLDEN_MEAN, lambda x: step, 2).matrices(phases)
+    assert mats.shape == (4, 2, 2) and not mats.flags.writeable
+    np.testing.assert_array_equal(mats, stack)
+    assert Cocycle(GOLDEN_MEAN, lambda x: step, 2).matrix(0.5) is step
+
+
 def test_orbit_matrices_broadcast_a_phase_independent_map():
     # a strip potential that ignores its phases yields one transfer matrix
     strip = StripOperator(np.eye(2), lambda x: np.diag([3.0, 0.0]), alpha=GOLDEN_MEAN)
@@ -391,6 +405,35 @@ def test_block_engine_falls_back_when_a_block_overflows(block_certificates):
                                rtol=1e-12)
     reference = reference_qr_engine(cocycle, phases, 64, cocycle.dim)
     np.testing.assert_allclose(est.per_sample, reference / 64, rtol=0, atol=BLOCK_TOL)
+
+
+def test_block_engine_crosses_a_step_whose_norm_overflows(block_certificates):
+    # every entry of diag(1e200, 1e-200) is finite, but its Frobenius norm
+    # (an unscaled sum of squares) overflows: blocks are refused, and the
+    # single steps, which need finite entries only, carry the frame
+    step = np.diag([1e200, 1e-200]).astype(complex)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(step))
+    cocycle = Cocycle(GOLDEN_MEAN, lambda x: step, 2)
+    phases = phase_lattice(4)
+    est = lyapunov_spectrum(cocycle, 64, phases=phases)
+    assert block_certificates == {"accepted": 0, "failed": 3}
+    np.testing.assert_allclose(est.exponents, [np.log(1e200), -np.log(1e200)],
+                               rtol=1e-12)
+    reference = reference_qr_engine(cocycle, phases, 64, cocycle.dim)
+    np.testing.assert_allclose(est.per_sample, reference / 64, rtol=0, atol=BLOCK_TOL)
+
+
+def test_block_engine_raises_on_a_non_finite_step():
+    # one NaN step in a 12-step orbit: every block holding it fails its
+    # certificate, and the single step raises instead of giving NaN exponents
+    def matrix_fn(phases):
+        bad = np.abs(np.asarray(phases) - 5 * GOLDEN_MEAN) < 1e-9
+        return np.where(bad[..., None, None], np.nan, rotation_cocycle(0.3).matrices(phases))
+
+    cocycle = Cocycle(GOLDEN_MEAN, matrix_fn, 2)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        lyapunov_spectrum(cocycle, 12, phases=[0.0])
 
 
 def test_converged_frames_match_per_step_loops():
@@ -473,6 +516,14 @@ def test_rotation_number_matches_per_step_loop():
         value = rotation_number(cocycle, 4000)
         reference = reference_rotation_number(cocycle, 4000)
         np.testing.assert_allclose(value, reference, rtol=0, atol=1e-12)
+
+
+def test_rotation_number_of_a_map_that_ignores_its_phases():
+    # a constant rotation by 0.7 given as one unwrapped 2x2 matrix
+    step = rotation_cocycle(0.7).matrices(0.0)
+    value, spread = rotation_number(Cocycle(GOLDEN_MEAN, lambda x: step, 2), 1000)
+    assert value == pytest.approx(0.7 / (2 * np.pi), rel=1e-12)
+    assert spread < 1e-12
 
 
 def test_rotation_number_takes_one_sweep(orbit_sweeps):

@@ -7,8 +7,8 @@ from dataclasses import replace
 import qplattice.longrange
 from qplattice.cli import DEFAULT_RADII
 from qplattice.corpus import cosine_root_state
-from qplattice.linalg import ArgumentError, banded_matmul, eigenvalues_banded, \
-    nearest_eigenpair, solve_shifted_banded
+from qplattice.linalg import ArgumentError, InvariantError, banded_matmul, \
+    eigenvalues_banded, nearest_eigenpair, solve_shifted_banded
 from qplattice.longrange import (
     _running_sums,
     duality_transform,
@@ -151,6 +151,17 @@ def test_subordinacy_chain_fails_at_every_radius_on_a_nearly_right_solve(monkeyp
     u, first = root_state(radii)
     report = subordinacy_probe(PURE_HOPPING, 0.0, u, r_grid=radii, first_site=first)
     assert [rec["ok"] for rec in report.records] == [False, False, False]
+
+
+def test_subordinacy_solve_identity_can_fail(monkeypatch):
+    # a solve off by a relative 1e-6 breaks Im<phi, v> = Im z ||v||^2
+    solve = qplattice.longrange.solve_shifted_banded
+    monkeypatch.setattr(qplattice.longrange, "solve_shifted_banded",
+                        lambda ab, z, rhs: solve(ab, z, rhs) * (1 + 1e-6))
+    radii = (64, 256, 1024)
+    u, first = root_state(radii)
+    with pytest.raises(InvariantError, match="solve identity"):
+        subordinacy_probe(PURE_HOPPING, 0.0, u, r_grid=radii, first_site=first)
 
 
 def test_subordinacy_pairing_sum_is_read_off_the_operator():

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import qplattice.weyl
 from conftest import random_line, random_strip, reference_frame
 from test_acceptance import kernel_suite
 from qplattice.cocycle import transfer_cocycle
@@ -12,6 +13,7 @@ from qplattice.corpus import spectrum_sample
 from qplattice.linalg import (
     ArgumentError,
     ConvergenceError,
+    InvariantError,
     eigenvalues_banded,
     principal_angles,
 )
@@ -200,6 +202,16 @@ def test_green_oracle_detects_unconverged_window():
     # tiny Im z, tiny window: the doubled window must move the answer
     with pytest.raises(ConvergenceError):
         green_oracle(free_laplacian(), 1e-8j, 0, 0, n_sites=51)
+
+
+def test_green_oracle_solve_identity_can_fail(monkeypatch):
+    # a solve off by a relative 1e-6 keeps the window converged and the
+    # kernel Hermitian, and breaks Im<v, e_q> = Im z ||v||^2
+    solve = qplattice.weyl.solve_shifted_banded
+    monkeypatch.setattr(qplattice.weyl, "solve_shifted_banded",
+                        lambda ab, z, rhs: solve(ab, z, rhs) * (1 + 1e-6))
+    with pytest.raises(InvariantError, match="solve identity"):
+        green_oracle(free_laplacian(), 1j, 0, 0)
 
 
 # ── fitted measure bounds ────────────────────────────────────────────────────

@@ -1,0 +1,142 @@
+"""Check that two checkouts of qplattice give the same numbers.
+
+Runs every operation of the three benchmark workloads once, at one seed,
+against the qplattice sources of a checkout, and saves what they leave:
+the CLI artifacts as written, and each library call's result, reduced to
+plain numbers and arrays and pickled.  A second command compares two such
+runs file by file and result by result, bit for bit.
+
+    python3 tools/compare_runs.py run --checkout PARENT --seed 1 --out runs/parent-1
+    python3 tools/compare_runs.py run --checkout . --seed 1 --out runs/change-1
+    python3 tools/compare_runs.py compare runs/parent-1 runs/change-1
+
+The operation lists come from ``perfbench/workloads.py`` of the repository
+this script lives in, imported read-only, so both runs make the same
+calls whatever the checkouts hold.  ``compare`` prints one line per item
+that differs or is missing, then a summary, and exits 1 if anything does.
+"""
+
+import argparse
+import dataclasses
+import os
+import pickle
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+WORKLOADS = ("orbit_sweep", "weyl_near_spectrum", "spectra_tables")
+
+
+def plain(value):
+    """The value with dataclasses as dicts and tuples as lists: a pickle
+    that loads without the checkout's qplattice, compared field by field."""
+    if dataclasses.is_dataclass(value):
+        return {"type": type(value).__name__,
+                **{f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}}
+    if isinstance(value, list | tuple):
+        return [plain(v) for v in value]
+    return value
+
+
+def run(checkout, seed, out):
+    """Run every operation of the workloads once; CLI artifacts land in
+    ``out/<workload>/cmdNN/out``, library results in
+    ``out/<workload>/library/NN_<group>.pkl``."""
+    src = (Path(checkout) / "src").resolve()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    sys.path[:0] = [str(src), str(HERE / "perfbench")]
+    import qplattice
+    if not Path(qplattice.__file__).resolve().is_relative_to(src):
+        raise SystemExit("imported qplattice from %s, not from %s" % (qplattice.__file__, src))
+    from workloads import Session, build
+
+    for name in WORKLOADS:
+        directory = Path(out) / name
+        library = directory / "library"
+        library.mkdir(parents=True)
+        session = Session(str(directory))
+        for index, op in enumerate(build(name, seed, session)):
+            try:
+                result = op.call()
+            except Exception as exc:  # a raising operation is recorded as such
+                result = {"raised": type(exc).__name__, "message": str(exc)}
+            if op.cli:
+                if result != 0:
+                    print("%s op %d (%s): exit code %s" % (name, index, op.group, result))
+                continue
+            with open(library / ("%02d_%s.pkl" % (index, op.group)), "wb") as fh:
+                pickle.dump(plain(result), fh)
+
+
+def differences(a, b, path="result"):
+    """Paths at which two plain values differ, with how."""
+    import numpy as np
+
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return ["%s: keys %s vs %s" % (path, sorted(a), sorted(b))]
+        return [d for k in a for d in differences(a[k], b[k], "%s.%s" % (path, k))]
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return ["%s: length %d vs %d" % (path, len(a), len(b))]
+        return [d for i, (x, y) in enumerate(zip(a, b))
+                for d in differences(x, y, "%s[%d]" % (path, i))]
+    if isinstance(a, str) or isinstance(b, str):
+        return [] if a == b else ["%s: %r vs %r" % (path, a, b)]
+    x, y = np.asarray(a), np.asarray(b)
+    if x.dtype != y.dtype or x.shape != y.shape:
+        return ["%s: %s%s vs %s%s" % (path, x.dtype, x.shape, y.dtype, y.shape)]
+    if x.tobytes() == y.tobytes():
+        return []
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(x - y).max() if x.dtype.kind in "iufc" else "n/a"
+    return ["%s: not bitwise equal, largest difference %s" % (path, gap)]
+
+
+def compare(first, second):
+    """Print what differs between two runs; return the number of items
+    (files and results) that differ or exist in one run only."""
+    first, second = Path(first), Path(second)
+    items = sorted({p.relative_to(root) for root in (first, second)
+                    for p in root.rglob("*") if p.is_file()
+                    and (p.suffix == ".pkl" or "out" in p.relative_to(root).parts)})
+    counts = {"artifact": [0, 0], "result": [0, 0]}
+    for item in items:
+        kind = "result" if item.suffix == ".pkl" else "artifact"
+        a, b = first / item, second / item
+        if not (a.is_file() and b.is_file()):
+            problems = ["only in %s" % (first if a.is_file() else second)]
+        elif kind == "artifact":
+            problems = [] if a.read_bytes() == b.read_bytes() else ["bytes differ"]
+        else:
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                problems = differences(pickle.load(fa), pickle.load(fb))
+        counts[kind][bool(problems)] += 1
+        for problem in problems:
+            print("%s: %s" % (item, problem))
+    print("%d CLI artifacts identical, %d differ; %d library results equal, %d differ"
+          % (*counts["artifact"], *counts["result"]))
+    return counts["artifact"][1] + counts["result"][1]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    run_parser = commands.add_parser("run", help="run every workload operation once")
+    run_parser.add_argument("--checkout", required=True,
+                            help="directory whose src/qplattice is run")
+    run_parser.add_argument("--seed", type=int, required=True)
+    run_parser.add_argument("--out", required=True, help="new directory for the results")
+    compare_parser = commands.add_parser("compare", help="compare two runs")
+    compare_parser.add_argument("first")
+    compare_parser.add_argument("second")
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        run(args.checkout, args.seed, args.out)
+        return 0
+    return 1 if compare(args.first, args.second) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
