@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,19 @@ def test_duality_report(tmp_path):
         assert (payload["residual"] < 1e-6) == solves
         assert 0.0 <= payload["dual_tail_mass"] <= 1.0
         assert payload["window"] == 128
+
+
+def test_duality_command_memory(tmp_path):
+    # the default truncation and window; the transform alone once took 78 MB
+    cfg = write_config(tmp_path, {"operator": AMO_HALF, "energy": 0.335,
+                                  "truncation": 2001, "window": 512})
+    tracemalloc.start()
+    try:
+        assert main(["duality", "--config", cfg, "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_verify_filtered(tmp_path):

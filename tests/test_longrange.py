@@ -1,8 +1,11 @@
 """Boundary pairings, subordinacy chain, duality, and growth probes."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 import qplattice.longrange
 from qplattice.cli import DEFAULT_RADII
@@ -239,6 +242,47 @@ def test_duality_profile_sampling():
     expected = np.exp(2j * np.pi * 2 * (0.1 + sites * GOLDEN_MEAN))
     expected = expected * np.exp(2j * np.pi * sites * 0.25)
     assert np.max(np.abs(out - expected)) < 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(coefficients=st.lists(st.complex_numbers(max_magnitude=1e3), min_size=1, max_size=64),
+       first_index=st.integers(-64, 64),
+       sites=st.lists(st.integers(-64, 64), min_size=1, max_size=16),
+       theta=st.floats(0.0, 1.0, exclude_max=True), alpha=st.floats(0.0, 1.0),
+       x=st.floats(0.0, 1.0, exclude_max=True))
+def test_duality_transform_matches_the_dense_sum(coefficients, first_index, sites,
+                                                 theta, alpha, x):
+    coefficients, sites = np.array(coefficients), np.array(sites)
+    js = first_index + np.arange(coefficients.size)
+    dense = np.exp(2j * np.pi * np.outer(sites * alpha + theta, js)) @ coefficients
+    dense = dense * np.exp(2j * np.pi * sites * x)
+    out = duality_transform(coefficients, first_index, x, theta, alpha, sites)
+    assert np.max(np.abs(out - dense)) <= 1e-11 * np.sum(np.abs(coefficients))
+
+
+@pytest.mark.parametrize("j", [1000, -1000])
+def test_duality_transform_of_a_far_coefficient(j):
+    # one coefficient at |j| = 1000: the phase j (theta + n alpha), taken in
+    # long double, is the reference; rounding n alpha in double sets the floor
+    sites = np.arange(-512, 513)
+    out = duality_transform([1.0], j, 0.0, 0.2, GOLDEN_MEAN, sites)
+    phase = j * (np.longdouble(0.2) + sites.astype(np.longdouble) * np.longdouble(GOLDEN_MEAN))
+    expected = np.exp(2j * np.pi * np.mod(phase, 1).astype(float))
+    assert np.max(np.abs(out - expected)) < 1e-9
+
+
+def test_duality_transform_memory_grows_as_sites_plus_coefficients():
+    # 2,001 coefficients on 1,025 sites: a dense sites x coefficients
+    # matrix and its phases take about 78 MB
+    vector = np.random.default_rng(0).standard_normal((2001, 2)) @ [1.0, 1j]
+    sites = np.arange(-512, 513)
+    tracemalloc.start()
+    try:
+        duality_transform(vector, -1000, 0.3, 0.2, GOLDEN_MEAN, sites)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 # ── growth probe ─────────────────────────────────────────────────────────────

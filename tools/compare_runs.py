@@ -13,11 +13,14 @@ runs file by file and result by result, bit for bit.
 The operation lists come from ``perfbench/workloads.py`` of the repository
 this script lives in, imported read-only, so both runs make the same
 calls whatever the checkouts hold.  ``compare`` prints one line per item
-that differs or is missing, then a summary, and exits 1 if anything does.
+that differs or is missing, then a summary, and exits 1 if anything does;
+a JSON artifact whose bytes differ is compared field by field, so the line
+names the field that moved and by how much.
 """
 
 import argparse
 import dataclasses
+import json
 import os
 import pickle
 import sys
@@ -76,7 +79,8 @@ def differences(a, b, path="result"):
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             return ["%s: keys %s vs %s" % (path, sorted(a), sorted(b))]
-        return [d for k in a for d in differences(a[k], b[k], "%s.%s" % (path, k))]
+        return [d for k in a
+                for d in differences(a[k], b[k], "%s.%s" % (path, k) if path else k)]
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             return ["%s: length %d vs %d" % (path, len(a), len(b))]
@@ -91,6 +95,9 @@ def differences(a, b, path="result"):
         return []
     with np.errstate(invalid="ignore"):
         gap = np.abs(x - y).max() if x.dtype.kind in "iufc" else "n/a"
+    if x.ndim == 0:
+        return ["%s: not bitwise equal, %r vs %r (difference %s)"
+                % (path, x.item(), y.item(), gap)]
     return ["%s: not bitwise equal, largest difference %s" % (path, gap)]
 
 
@@ -109,6 +116,9 @@ def compare(first, second):
             problems = ["only in %s" % (first if a.is_file() else second)]
         elif kind == "artifact":
             problems = [] if a.read_bytes() == b.read_bytes() else ["bytes differ"]
+            if problems and item.suffix == ".json":
+                problems = differences(json.loads(a.read_text()),
+                                       json.loads(b.read_text()), "") or problems
         else:
             with open(a, "rb") as fa, open(b, "rb") as fb:
                 problems = differences(pickle.load(fa), pickle.load(fb))
