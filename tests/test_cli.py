@@ -266,7 +266,8 @@ def test_duality_report(tmp_path):
 
 
 def test_duality_command_memory(tmp_path):
-    # the default truncation and window; the transform alone once took 78 MB
+    # the default truncation and window, where a dense sites x coefficients
+    # transform would take about 78 MB
     cfg = write_config(tmp_path, {"operator": AMO_HALF, "energy": 0.335,
                                   "truncation": 2001, "window": 512})
     tracemalloc.start()

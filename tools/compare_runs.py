@@ -95,9 +95,6 @@ def differences(a, b, path="result"):
         return []
     with np.errstate(invalid="ignore"):
         gap = np.abs(x - y).max() if x.dtype.kind in "iufc" else "n/a"
-    if x.ndim == 0:
-        return ["%s: not bitwise equal, %r vs %r (difference %s)"
-                % (path, x.item(), y.item(), gap)]
     return ["%s: not bitwise equal, largest difference %s" % (path, gap)]
 
 
