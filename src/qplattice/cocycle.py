@@ -205,12 +205,16 @@ def iterate(cocycle, theta, n):
 def _orbit_chunks(cocycle, phases, block=1):
     """Fiber matrices along an orbit (steps on the first axis of ``phases``),
     one stack per cocycle call; a stack holds a whole number of ``block``
-    steps and about ``ORBIT_CHUNK_ENTRIES`` matrix entries."""
+    steps and about ``ORBIT_CHUNK_ENTRIES`` matrix entries.  A non-finite
+    step raises ``ConvergenceError``."""
     phases = np.asarray(phases)
     batch = int(np.prod(phases.shape[1:]))
     chunk = block * max(1, ORBIT_CHUNK_ENTRIES // (block * batch * cocycle.dim ** 2))
     for start in range(0, len(phases), chunk):
-        yield cocycle.matrices(phases[start:start + chunk])
+        stack = cocycle.matrices(phases[start:start + chunk])
+        if not np.isfinite(stack).all():
+            raise ConvergenceError("non-finite step along the orbit")
+        yield stack
 
 
 def orbit_matrices(cocycle, phases):
@@ -356,15 +360,15 @@ class _Segment:
 
     def carry(self, q):
         # Cross the pieces in order.  A piece whose image loses a direction
-        # to rounding (the certificate fails) gives way to its two halves
-        # for this and every later frame, down to single steps, which need
-        # no certificate.
+        # to rounding or overflows (the certificate fails) gives way to its
+        # two halves for this and every later frame, down to single steps,
+        # which need no certificate.
         kept, todo = [], self.pieces[::-1]
         while todo:
             piece = todo.pop()
             start, length, mat = piece
             moved, r = np.linalg.qr(mat @ q)
-            if length > 1 and KAPPA * np.abs(np.diagonal(r)).min() < 1.0:
+            if length > 1 and not KAPPA * np.abs(np.diagonal(r)).min() >= 1.0:
                 todo += self._halves(start, length)[::-1]
                 continue
             q = moved
@@ -408,14 +412,13 @@ def _block_levels(mats):
 def _certified_qr(block, q, certify):
     # QR of block @ q and |diag R|, or None when the BLOCK_BOUND certificate
     # fails; a block without a finite norm fails before its QR.  A single
-    # step (certify False) has no certificate, and a non-finite one raises.
+    # step (certify False), finite since `_orbit_chunks` checked it, has no
+    # certificate.
     if certify:
         with np.errstate(over="ignore", invalid="ignore"):
             norm = np.linalg.norm(block, axis=(-2, -1))
         if not np.isfinite(norm).all():
             return None
-    elif not np.isfinite(block).all():
-        raise ConvergenceError("non-finite step in QR evolution")
     moved, r = np.linalg.qr(block @ q)
     diag = np.abs(np.einsum("sii->si", r))
     if certify and np.any(diag.min(axis=1) * BLOCK_BOUND < norm):

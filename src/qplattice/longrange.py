@@ -13,6 +13,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .linalg import ArgumentError, InvariantError, solve_shifted_banded
+from .measures import _growth_trend
 
 ZETA_TWO = np.pi**2 / 6.0
 
@@ -35,14 +36,10 @@ def _running_sums(values, center, r_max):
     return np.cumsum(np.concatenate((values[center : center + 1], pairs)))[1:]
 
 
-def lagrange_form(op, f, g, radius, first_site=None):
-    """Boundary pairing sum_{|n| <= radius} (Hf)_n conj(g_n) - f_n conj((Hg)_n).
-
-    Both sequences live on a common centered window; the window must
-    extend at least the hopping range beyond the radius so the interior
-    application of the operator is exact.  For two true solutions at the
-    same energy the value is independent of the radius.
-    """
+def _pairing_terms(op, f, g, radius, first_site):
+    # The two sequences on their shared window, its first site, and the
+    # two terms (Hf)_n conj(g_n) and f_n conj((Hg)_n) of the pairing density
+    # over the whole window; H is applied exactly within radius + range.
     f, first = _window_first(f, first_site)
     g, first_g = _window_first(g, first_site)
     if f.shape != g.shape or first != first_g:
@@ -52,10 +49,20 @@ def lagrange_form(op, f, g, radius, first_site=None):
         raise ArgumentError("window too short for radius %d" % radius)
     hf = op.apply(f, first_site=first)
     hg = op.apply(g, first_site=first)
+    return f, g, first, hf * np.conj(g), f * np.conj(hg)
+
+
+def lagrange_form(op, f, g, radius, first_site=None):
+    """Boundary pairing sum_{|n| <= radius} (Hf)_n conj(g_n) - f_n conj((Hg)_n).
+
+    Both sequences live on a common centered window; the window must
+    extend at least the hopping range beyond the radius so the interior
+    application of the operator is exact.  For two true solutions at the
+    same energy the value is independent of the radius.
+    """
+    _, _, first, left, right = _pairing_terms(op, f, g, radius, first_site)
     lo, hi = -radius - first, radius - first + 1
-    return complex(
-        np.sum(hf[lo:hi] * np.conj(g[lo:hi])) - np.sum(f[lo:hi] * np.conj(hg[lo:hi]))
-    )
+    return complex(np.sum(left[lo:hi]) - np.sum(right[lo:hi]))
 
 
 def lagrange_sum_bounds(op, f, g, r_max, first_site=None):
@@ -71,21 +78,14 @@ def lagrange_sum_bounds(op, f, g, r_max, first_site=None):
     -------
     (lhs, window_bound, tail_bound)
     """
-    f, first = _window_first(f, first_site)
-    g, _ = _window_first(g, first_site)
     if np.max(np.abs(g)) > 1.0 + 1e-12:
         raise ArgumentError("second sequence must have sup norm at most one")
-    k = op.hopping.range
     if r_max < 1:
         raise ArgumentError("radius must be at least one")
-    if -(r_max + k) < first or r_max + k >= first + f.size:
-        raise ArgumentError("window too short for radius %d" % r_max)
-
-    hf = op.apply(f, first_site=first)
-    hg = op.apply(g, first_site=first)
-    density = hf * np.conj(g) - f * np.conj(hg)
+    f, g, first, left, right = _pairing_terms(op, f, g, r_max, first_site)
+    k = op.hopping.range
     center = -first
-    lhs = float(np.abs(np.cumsum(_running_sums(density, center, r_max))[-1]))
+    lhs = float(np.abs(np.cumsum(_running_sums(left - right, center, r_max))[-1]))
 
     weights = sum(4.0 * kk * abs(op.hopping.coefficient(kk)) for kk in range(1, k + 1))
     lo = max(0, center - (r_max + k))
@@ -301,15 +301,9 @@ def solution_growth(u, r_grid, alpha, first_site=None):
             for r in r_grid
         ]
     )
-    if values[-1] > 4.0 * values[0]:
-        trend = "diverging"
-    elif values[-1] < values[0] / 4.0:
-        trend = "vanishing"
-    else:
-        trend = "saturating"
     return GrowthReport(
         r_grid=r_grid,
         values=values,
         minimum=float(np.min(values)),
-        trend=trend,
+        trend=_growth_trend(values[0], values[-1]),
     )

@@ -153,6 +153,14 @@ class AlphaDerivativeReport:
     trend: str
 
 
+def _growth_trend(first, last):
+    # A scaled quantity diverges past four times its first value and
+    # vanishes below a quarter of it.
+    if last > 4.0 * first:
+        return "diverging"
+    return "vanishing" if last < first / 4.0 else "saturating"
+
+
 def upper_alpha_derivative(table, energy, alpha, eps_grid=None):
     """Scaled imaginary boundary values eps^(1-alpha) Im F(E + i eps).
 
@@ -168,14 +176,9 @@ def upper_alpha_derivative(table, energy, alpha, eps_grid=None):
     )
     head = np.mean(vals[: max(1, len(vals) // 3)])
     tail = np.mean(vals[-max(1, len(vals) // 3) :])
-    if tail > 4.0 * head:
-        trend = "diverging"
-    elif tail < head / 4.0:
-        trend = "vanishing"
-    else:
-        trend = "saturating"
     return AlphaDerivativeReport(
-        eps_grid=eps_grid, values=vals, value=float(np.max(vals)), trend=trend
+        eps_grid=eps_grid, values=vals, value=float(np.max(vals)),
+        trend=_growth_trend(head, tail)
     )
 
 

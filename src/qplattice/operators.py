@@ -144,8 +144,7 @@ class Potential:
     @classmethod
     def from_config(cls, cfg):
         if cfg.get("type") == "fourier":
-            coeffs = {int(k): complex(re, im) for k, re, im in cfg["coefficients"]}
-            return cls("fourier", coeffs)
+            return cls("fourier", Hopping.from_triples(cfg["coefficients"])._table)
         if cfg.get("type") == "sequence":
             return cls("sequence", cfg["values"], cfg.get("first_site", 0))
         raise ArgumentError("potential config needs type 'fourier' or 'sequence'")
@@ -240,9 +239,7 @@ class LineOperator:
         if self.potential.kind == "fourier":
             cfg["potential"] = {
                 "type": "fourier",
-                "coefficients": [[k, c.real, c.imag]
-                                 for k, c in sorted(self.potential.coefficients.items())
-                                 if k >= 0],
+                "coefficients": Hopping(self.potential.coefficients).as_triples(),
             }
         else:
             cfg["potential"] = {
@@ -367,15 +364,10 @@ class HermitianTrigPoly:
 class _FoldedPotential:
     """Hermitian block potential produced by regrouping K consecutive sites."""
 
-    def __init__(self, line_op, k_width):
+    def __init__(self, line_op, off_diag):
         self.op = line_op
-        self.k = k_width
-        w = line_op.hopping
-        m = np.zeros((k_width, k_width), dtype=complex)
-        for i in range(k_width):
-            for j in range(k_width):
-                m[i, j] = w.coefficient(i - j)
-        self.off_diag = m
+        self.k = off_diag.shape[0]
+        self.off_diag = off_diag
 
     def __call__(self, phase):
         phase = np.asarray(phase)
@@ -408,11 +400,11 @@ def fold_to_strip(line_op, k_width=None):
         raise ArgumentError("leading hopping coefficient w_K must be nonzero")
     if line_op.potential.kind != "fourier":
         raise ArgumentError("folding needs an analytic potential")
-    c = np.zeros((k_width, k_width), dtype=complex)
-    for i in range(k_width):
-        for j in range(i, k_width):
-            c[i, j] = w.coefficient(k_width - j + i)
-    return StripOperator(c, _FoldedPotential(line_op, k_width),
+    # taps[K - 1 + d] = w_d: entry (i, j) of the block potential holds
+    # w_{i-j} and of the coupling w_{K+i-j}, zero below its diagonal
+    taps = np.array([w.coefficient(d) for d in range(1 - k_width, 2 * k_width)])
+    at = np.subtract.outer(np.arange(k_width), np.arange(k_width)) + k_width - 1
+    return StripOperator(taps[at + k_width], _FoldedPotential(line_op, taps[at]),
                          alpha=k_width * line_op.alpha, theta=line_op.theta)
 
 

@@ -92,6 +92,17 @@ def krein_matrix(s, frame):
     return 0.5 * (g + g.conj().T)
 
 
+def _nondegenerate_eigh(g):
+    # Eigendecomposition of the Hermitian g; an eigenvalue within
+    # DEGENERACY_TOL of the largest in modulus raises.
+    eig, vec = np.linalg.eigh(g)
+    scale = max(np.abs(eig).max(), 1e-300)
+    if np.any(np.abs(eig) <= DEGENERACY_TOL * scale):
+        raise InvariantError("degenerate restricted pairing (|eig| <= %.1e)"
+                             % (DEGENERACY_TOL * scale))
+    return eig, vec
+
+
 def signature(g):
     """Inertia ``(p, q)`` of a Hermitian matrix; zero eigenvalues raise.
 
@@ -102,11 +113,7 @@ def signature(g):
     g = np.atleast_2d(np.asarray(g))
     if g.shape[1] == 0:
         return 0, 0
-    eig = np.linalg.eigvalsh(g)
-    scale = max(np.abs(eig).max(), 1e-300)
-    if np.any(np.abs(eig) <= DEGENERACY_TOL * scale):
-        raise InvariantError("degenerate restricted pairing (|eig| <= %.1e)"
-                             % (DEGENERACY_TOL * scale))
+    eig, _ = _nondegenerate_eigh(g)
     return int(np.sum(eig > 0)), int(np.sum(eig < 0))
 
 
@@ -125,11 +132,7 @@ def canonical_basis(s, frame):
         return q.copy(), 0
     if dim % 2:
         raise InvariantError("paired basis needs an even-dimensional span")
-    g = krein_matrix(s, q)
-    eig, vec = np.linalg.eigh(g)
-    scale = max(np.abs(eig).max(), 1e-300)
-    if np.any(np.abs(eig) <= DEGENERACY_TOL * scale):
-        raise InvariantError("degenerate restricted pairing")
+    eig, vec = _nondegenerate_eigh(krein_matrix(s, q))
     p = int(np.sum(eig > 0))
     if 2 * p != dim:
         raise InvariantError("restriction has nonzero signature (p=%d of %d)"

@@ -236,10 +236,7 @@ def im_m_trace(weyl):
             % (expanded, direct)
         )
 
-    def _cond(n):
-        return np.linalg.norm(n, 2) * np.linalg.norm(np.linalg.inv(n), 2)
-
-    kappa = max(_cond(imx), _cond(imy))
+    kappa = max(np.linalg.cond(imx, 2), np.linalg.cond(imy, 2))
     bound = kappa**3 * (
         _boundary_weight(x, c_inv) / np.linalg.norm(imx, 2)
         + _boundary_weight(y, c_inv) / np.linalg.norm(imy, 2)

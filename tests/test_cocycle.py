@@ -56,6 +56,7 @@ from qplattice.splitting import (
     detect_splitting,
 )
 from qplattice.symplectic import form_defect
+from qplattice.weyl import m_plus
 
 # arccosh(3/2): top exponent of the free operator at energy 3
 FREE_TOP_AT_3 = 0.9624236501192069
@@ -425,8 +426,8 @@ def test_block_engine_crosses_a_step_whose_norm_overflows(block_certificates):
 
 
 def test_block_engine_raises_on_a_non_finite_step():
-    # one NaN step in a 12-step orbit: every block holding it fails its
-    # certificate, and the single step raises instead of giving NaN exponents
+    # one NaN step in a 12-step orbit: the stack of steps holding it raises
+    # as the orbit is built, instead of giving NaN exponents
     def matrix_fn(phases):
         bad = np.abs(np.asarray(phases) - 5 * GOLDEN_MEAN) < 1e-9
         return np.where(bad[..., None, None], np.nan, rotation_cocycle(0.3).matrices(phases))
@@ -579,6 +580,23 @@ def test_state_sweep_raises_on_a_non_finite_step():
     cocycle = Cocycle(GOLDEN_MEAN, matrix_fn, 2)
     with pytest.raises(ConvergenceError, match="non-finite"):
         rotation_number(cocycle, 64, phases=[0.0])
+
+
+def test_frame_kernels_raise_on_a_non_finite_step():
+    # one NaN potential block, at strip site 5: the boundary frames cross
+    # it inside cached block products, and raise instead of carrying NaN
+    amo = fold_to_strip(almost_mathieu(2.0))
+
+    def potential(x):
+        bad = np.abs(np.asarray(x) - 5 * GOLDEN_MEAN) < 1e-9
+        return np.where(bad[..., None, None], np.nan, amo.potential(x))
+
+    strip = StripOperator(amo.coupling, potential, alpha=amo.alpha)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        _carried_frames(transfer_cocycle(strip, 0.3 + 0.5j), 64 * GOLDEN_MEAN, 64, 0, 1,
+                        seed=1)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        m_plus(strip, 0.3 + 0.5j)
 
 
 def test_center_growth_matches_per_step_loop():

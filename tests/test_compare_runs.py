@@ -1,0 +1,54 @@
+"""tools/compare_runs.py compare, on two hand-made run directories."""
+
+import importlib.util
+import pickle
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_runs.py"
+spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
+compare_runs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_runs)
+
+
+def make_run(root, csv_text, result):
+    out = root / "orbit_sweep" / "cmd01" / "out"
+    out.mkdir(parents=True)
+    (out / "lyapunov.csv").write_text(csv_text)
+    (out / "verify.json").write_text('{"ok": true, "worst": 0.5}')
+    library = root / "orbit_sweep" / "library"
+    library.mkdir()
+    with open(library / "00_lyapunov_library.pkl", "wb") as fh:
+        pickle.dump(result, fh)
+    return root
+
+
+def test_csv_artifacts_compare_column_by_column(tmp_path, capsys):
+    first = make_run(tmp_path / "first",
+                     "E,L1,L2,error\n0.5,1.25,-1.25,\n1.5,2,-2,\n"
+                     "# config=abc version=0.1.0 seed=1\n",
+                     {"exponents": [1.25, -1.25]})
+    second = make_run(tmp_path / "second",
+                      "E,L1,L2,error\n0.5,1.25,-1.5,\n1.5,2.0000000002,nan,no split\n"
+                      "# config=abc version=0.1.0 seed=2\n",
+                      {"exponents": [1.25, -1.25]})
+    assert compare_runs.compare(first, first) == 0
+    capsys.readouterr()
+
+    assert compare_runs.compare(first, second) == 1
+    lines = capsys.readouterr().out.splitlines()
+    item = "orbit_sweep/cmd01/out/lyapunov.csv"
+    assert lines == [
+        "%s: column L1: 1 cells differ, largest absolute difference 2e-10, relative 1e-10"
+        % item,
+        "%s: column L2: 2 cells differ, largest absolute difference 0.25, relative 0.167"
+        % item,
+        "%s: column error: 1 cells differ" % item,
+        "%s: footer [['# config=abc version=0.1.0 seed=1']] vs "
+        "[['# config=abc version=0.1.0 seed=2']]" % item,
+        "1 CLI artifacts identical, 1 differ; 1 library results equal, 0 differ",
+    ]
+
+
+def test_csv_artifacts_with_other_rows_differ_as_a_whole():
+    problems = compare_runs.csv_differences("E,N\n0.5,0.25\n", "E,N\n0.5,0.25\n1.0,0.5\n")
+    assert problems == ["header ['E', 'N'] and 1 rows vs header ['E', 'N'] and 2 rows"]

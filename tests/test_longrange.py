@@ -77,6 +77,8 @@ def test_pairing_window_validation():
         lagrange_form(FREE, COS_HALF, SIN_HALF, 60)
     with pytest.raises(ArgumentError, match="share one window"):
         lagrange_form(FREE, COS_HALF, SIN_HALF[:-1], 5)
+    with pytest.raises(ArgumentError, match="share one window"):
+        lagrange_sum_bounds(FREE, COS_HALF, SIN_HALF[:-1], 5)
 
 
 def test_radius_summed_bounds_dominate():

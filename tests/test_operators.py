@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_line, random_strip
+from qplattice.cocycle import lyapunov_spectrum, transfer_cocycle
 from qplattice.linalg import ArgumentError
+from qplattice.measures import ids
 from qplattice.operators import (
     GOLDEN_MEAN,
     HermitianTrigPoly,
@@ -175,6 +177,27 @@ def test_strip_blocks_hermitian():
         np.testing.assert_allclose(b, b.conj().T, atol=1e-12)
     v = strip.blocks(np.arange(5))
     assert v.shape == (5, strip.width, strip.width)
+
+
+def test_strip_potential_that_ignores_its_phases():
+    # a constant block map may return one m x m block for any phases; it
+    # must act as the same map written to broadcast
+    rng = np.random.default_rng(25)
+    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    block = h + h.conj().T
+    coupling = np.array([[1.0, 0.3 - 0.2j], [0.0, 0.8]])
+    constant = StripOperator(coupling, lambda x: block, alpha=GOLDEN_MEAN)
+    broadcast = StripOperator(coupling, lambda x: np.broadcast_to(
+        block, np.shape(x) + block.shape), alpha=GOLDEN_MEAN)
+    assert np.array_equal(constant.assemble_banded(9, first_block=-2),
+                          broadcast.assemble_banded(9, first_block=-2))
+    energies = np.linspace(-6.0, 6.0, 25)
+    assert np.array_equal(ids(constant, energies, n_sites=40, samples=3).values,
+                          ids(broadcast, energies, n_sites=40, samples=3).values)
+    for energy in (-0.4, 5.0):
+        exponents = [lyapunov_spectrum(transfer_cocycle(s, energy), 200, samples=4).exponents
+                     for s in (constant, broadcast)]
+        np.testing.assert_allclose(exponents[0], exponents[1], rtol=0, atol=1e-12)
 
 
 def test_trig_poly_blocks():

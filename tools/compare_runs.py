@@ -13,13 +13,16 @@ runs file by file and result by result, bit for bit.
 The operation lists come from ``perfbench/workloads.py`` of the repository
 this script lives in, imported read-only, so both runs make the same
 calls whatever the checkouts hold.  ``compare`` prints one line per item
-that differs or is missing, then a summary, and exits 1 if anything does;
-a JSON artifact whose bytes differ is compared field by field, so the line
-names the field that moved and by how much.
+that differs or is missing, then a summary, and exits 1 if anything does.
+A JSON artifact whose bytes differ is compared field by field, and a CSV
+artifact column by column with its provenance footer as text, so the line
+names the field or column that moved and by how much.
 """
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import pickle
@@ -98,6 +101,45 @@ def differences(a, b, path="result"):
     return ["%s: not bitwise equal, largest difference %s" % (path, gap)]
 
 
+def csv_differences(a, b):
+    """Columns in which two CSV artifacts differ, each with its count of
+    differing cells and their largest absolute and relative difference,
+    and the provenance footers (rows that start with ``#``) if they differ."""
+    import numpy as np
+
+    tables = []
+    for text in (a, b):
+        header, *rows = list(csv.reader(io.StringIO(text))) or [[]]
+        footer = [row for row in rows if row and row[0].startswith("#")]
+        tables.append((header, [dict(zip(header, row)) for row in rows
+                                if row not in footer], footer))
+    (header, rows_a, footer_a), (header_b, rows_b, footer_b) = tables
+    if header != header_b or len(rows_a) != len(rows_b):
+        return ["header %s and %d rows vs header %s and %d rows"
+                % (header, len(rows_a), header_b, len(rows_b))]
+    problems = []
+    for name in header:
+        cells = [(x.get(name, ""), y.get(name, "")) for x, y in zip(rows_a, rows_b)
+                 if x.get(name) != y.get(name)]
+        if not cells:
+            continue
+        line = "column %s: %d cells differ" % (name, len(cells))
+        try:
+            x, y = np.array(cells, dtype=float).T
+        except ValueError:  # text cells, such as the error column
+            problems.append(line)
+            continue
+        with np.errstate(invalid="ignore", divide="ignore"):
+            gap = np.abs(x - y)
+            relative = gap / np.maximum(np.abs(x), np.abs(y))
+        # fmax skips the nan of a cell that is nan in one run only
+        problems.append("%s, largest absolute difference %.3g, relative %.3g"
+                        % (line, np.fmax.reduce(gap), np.fmax.reduce(relative)))
+    if footer_a != footer_b:
+        problems.append("footer %s vs %s" % (footer_a, footer_b))
+    return problems
+
+
 def compare(first, second):
     """Print what differs between two runs; return the number of items
     (files and results) that differ or exist in one run only."""
@@ -116,6 +158,8 @@ def compare(first, second):
             if problems and item.suffix == ".json":
                 problems = differences(json.loads(a.read_text()),
                                        json.loads(b.read_text()), "") or problems
+            elif problems and item.suffix == ".csv":
+                problems = csv_differences(a.read_text(), b.read_text()) or problems
         else:
             with open(a, "rb") as fa, open(b, "rb") as fb:
                 problems = differences(pickle.load(fa), pickle.load(fb))
