@@ -157,14 +157,17 @@ def nearest_eigenpair(ab_upper, sigma):
 # ── subspace helpers ─────────────────────────────────────────────────────────
 
 def orthonormal_columns(a):
-    """Orthonormal basis for the column span; raises on rank deficiency."""
+    """Orthonormal basis for the column span, of one frame or of each in a
+    stack (frames on the last two axes); raises on a rank-deficient frame."""
     a = np.atleast_2d(np.asarray(a))
-    if a.shape[1] == 0:
+    if a.shape[-1] == 0:
         return a.copy()
     q, r = np.linalg.qr(a)
-    d = np.abs(np.diag(r))
-    if d.min() <= RANK_TOL * max(d.max(), 1.0):
-        raise ArgumentError("rank-deficient frame (min |r_ii| = %.2e)" % d.min())
+    d = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    low = d.min(axis=-1)
+    bad = low <= RANK_TOL * np.maximum(d.max(axis=-1), 1.0)
+    if bad.any():
+        raise ArgumentError("rank-deficient frame (min |r_ii| = %.2e)" % low[bad][0])
     return q
 
 

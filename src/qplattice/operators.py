@@ -121,8 +121,9 @@ class Hopping:
 class Potential:
     """On-site potential: analytic circle function or explicit sequence.
 
-    ``kind='fourier'`` stores conjugate-symmetric coefficients of a real
-    analytic function on the circle and samples it along a rotation orbit;
+    ``kind='fourier'`` holds the conjugate-symmetric coefficients of a real
+    analytic function on the circle as a ``Hopping`` (a mapping is checked
+    and converted), whose symbol it samples along a rotation orbit;
     ``kind='sequence'`` stores explicit real values for a site window
     starting at ``first_site``.
     """
@@ -130,7 +131,7 @@ class Potential:
     def __init__(self, kind, data, first_site=0):
         self.kind = kind
         if kind == "fourier":
-            self.coefficients = Hopping(data)._table  # reuse symmetry checks
+            self.fourier = data if isinstance(data, Hopping) else Hopping(data)
         elif kind == "sequence":
             self.values = np.asarray(data, dtype=float)
             self.first_site = int(first_site)
@@ -144,7 +145,7 @@ class Potential:
     @classmethod
     def from_config(cls, cfg):
         if cfg.get("type") == "fourier":
-            return cls("fourier", Hopping.from_triples(cfg["coefficients"])._table)
+            return cls("fourier", Hopping.from_triples(cfg["coefficients"]))
         if cfg.get("type") == "sequence":
             return cls("sequence", cfg["values"], cfg.get("first_site", 0))
         raise ArgumentError("potential config needs type 'fourier' or 'sequence'")
@@ -153,7 +154,7 @@ class Potential:
         """Evaluate the circle function (fourier kind only); accepts complex x."""
         if self.kind != "fourier":
             raise ArgumentError("explicit sequences have no circle function")
-        return _trig_sum(self.coefficients, x)
+        return self.fourier.symbol(x)
 
     def sample(self, sites, alpha, theta):
         """Values at the given integer sites for rotation (alpha, theta)."""
@@ -167,7 +168,7 @@ class Potential:
 
     def sup_norm(self):
         if self.kind == "fourier":
-            return float(sum(abs(c) for c in self.coefficients.values()))
+            return self.fourier.norm_l1()
         return float(np.max(np.abs(self.values), initial=0.0))
 
 
@@ -239,7 +240,7 @@ class LineOperator:
         if self.potential.kind == "fourier":
             cfg["potential"] = {
                 "type": "fourier",
-                "coefficients": Hopping(self.potential.coefficients).as_triples(),
+                "coefficients": self.potential.fourier.as_triples(),
             }
         else:
             cfg["potential"] = {
@@ -326,10 +327,9 @@ class StripOperator:
         return _dense(self.assemble_banded(n_blocks, first_block))
 
     def norm_bound(self):
-        sup_v = float(np.linalg.norm(self.block(0), 2))
-        for t in np.linspace(0, 1, 32, endpoint=False):
-            sup_v = max(sup_v, float(np.linalg.norm(
-                np.asarray(self.potential(t)), 2)))
+        phases = np.concatenate([[self.theta], np.linspace(0, 1, 32, endpoint=False)])
+        v = np.asarray(self.potential(phases))
+        sup_v = float(np.linalg.norm(v, 2, axis=(-2, -1)).max())
         return 2 * float(np.linalg.norm(self.coupling, 2)) + sup_v
 
 
@@ -441,11 +441,9 @@ def dual_operator(line_op):
     """
     if line_op.potential.kind != "fourier":
         raise ArgumentError("duality needs an analytic potential")
-    dual_hop = {k: line_op.epsilon * c
-                for k, c in line_op.potential.coefficients.items()}
-    dual_pot = {k: line_op.hopping.coefficient(k)
-                for k in line_op.hopping.offsets}
-    return LineOperator(Hopping(dual_hop), Potential("fourier", dual_pot),
+    series = line_op.potential.fourier
+    dual_hop = {k: line_op.epsilon * series.coefficient(k) for k in series.offsets}
+    return LineOperator(Hopping(dual_hop), Potential("fourier", line_op.hopping),
                         alpha=line_op.alpha, theta=line_op.theta, epsilon=1.0)
 
 

@@ -15,7 +15,6 @@ envelopes, and the telescoping / center-variation bounds.
 """
 
 import numpy as np
-import scipy.linalg as sla
 from dataclasses import dataclass
 
 from .linalg import (
@@ -89,7 +88,7 @@ def _carried_frames(cocycle, theta, n_window, n_steps, n_cols, seed):
     # then one QR per step for n_steps more; it converges onto the
     # fastest-expanding image directions (on the inverse cocycle, the
     # most-contracted ones of the window starting there).  Returns the
-    # frames at theta + n alpha for n = 0 .. n_steps.
+    # stack of frames at theta + n alpha for n = 0 .. n_steps.
     q = _random_frame(cocycle.dim, n_cols, seed)
     while n_window > 0:
         length = 1 << (n_window.bit_length() - 1)
@@ -98,39 +97,37 @@ def _carried_frames(cocycle, theta, n_window, n_steps, n_cols, seed):
         n_window -= length
     frames = [q]
     for a in orbit_matrices(cocycle, theta + cocycle.alpha * np.arange(n_steps)):
-        q, _ = np.linalg.qr(a @ q)
-        frames.append(q)
-    return frames
-
-
-def _intersect_frames(fa, fb):
-    # Common directions of two subspaces, as an orthonormal frame.
-    coeff = sla.null_space(np.hstack([fa, -fb]))
-    return orthonormal_columns(fa @ coeff[: fa.shape[1]])
+        frames.append(np.linalg.qr(a @ frames[-1])[0])
+    return np.stack(frames)
 
 
 def _frames_along(cocycle, theta, dims, n_window, n_steps=0):
-    # (expanding, neutral, contracting) frames at theta + n alpha for
-    # n = 0 .. n_steps, from one forward and one backward sweep.
+    # Stacks of the expanding, neutral and contracting frames at
+    # theta + n alpha for n = 0 .. n_steps, from one sweep each way.
     # Orthogonal iteration nests: the leading k columns of a converged
-    # frame span its k fastest directions.
+    # frame span its k fastest directions.  The neutral frame spans the
+    # null space of [fwd, -bwd], found with scipy's null_space rank rule;
+    # its dimension is checked, not the rank: a full-rank [fwd, -bwd]
+    # leaves no common direction.
     d_u, d_c, d_s = dims
     dim = cocycle.dim
     if d_c == dim:
-        eye = np.eye(dim, dtype=complex)
-        return [(eye[:, :0], eye, eye[:, :0])] * (n_steps + 1)
+        eye = np.tile(np.eye(dim, dtype=complex), (n_steps + 1, 1, 1))
+        return eye[..., :0], eye, eye[..., :0]
     fwd = _carried_frames(cocycle, theta, n_window, n_steps, d_u + d_c, seed=1)
     bwd = _carried_frames(cocycle.inverse(), theta + n_steps * cocycle.alpha,
-                          n_window, n_steps, d_s + d_c, seed=2)
-    frames = []
-    for f, b in zip(fwd, reversed(bwd)):
-        center = _intersect_frames(f, b)
-        if center.shape[1] != d_c:
-            raise ConvergenceError(
-                "neutral frame has dimension %d, expected %d" % (center.shape[1], d_c)
-            )
-        frames.append((f[:, :d_u], center, b[:, :d_s]))
-    return frames
+                          n_window, n_steps, d_s + d_c, seed=2)[::-1]
+    _, s, vh = np.linalg.svd(np.concatenate([fwd, -bwd], axis=-1))
+    n_cols = vh.shape[-1]
+    tol = np.finfo(s.dtype).eps * max(dim, n_cols) * s.max(axis=-1, initial=0.0)
+    nullity = n_cols - (s > tol[:, None]).sum(axis=-1)
+    wrong = np.flatnonzero(nullity != d_c)
+    if len(wrong):
+        raise ConvergenceError(
+            "neutral frame has dimension %d, expected %d" % (nullity[wrong[0]], d_c)
+        )
+    coeff = vh[:, n_cols - d_c:, :d_u + d_c].conj().swapaxes(-2, -1)
+    return fwd[..., :d_u], orthonormal_columns(fwd @ coeff), bwd[..., :d_s]
 
 
 def compute_splitting(cocycle, theta, dims, n_window=DEFAULT_WINDOW):
@@ -187,14 +184,14 @@ def _certified_splitting(cocycle, theta, dims, n_window, rates):
             )
         certificates.append(gap)
 
-    fast, center, slow = frames = _frames_along(cocycle, theta, dims, n_window)[0]
+    fast, center, slow = frames = [f[0] for f in _frames_along(cocycle, theta, dims, n_window)]
 
     # One-step invariance: pushing each frame through the fiber matrix
     # must land on the frame converged independently at the next phase,
     # up to the sin of the largest principal angle.
     if d_c < dim:
         a = cocycle.matrix(theta)
-        following = _frames_along(cocycle, theta + cocycle.alpha, dims, n_window)[0]
+        following = [f[0] for f in _frames_along(cocycle, theta + cocycle.alpha, dims, n_window)]
         residual = max(
             np.sin(principal_angles(orthonormal_columns(a @ frame), target)[-1])
             for frame, target in zip(frames, following) if frame.shape[1]
@@ -300,15 +297,15 @@ def _neutral_steps(cocycle, splitting, n_max):
     it have been yielded.
     """
     theta = splitting.theta
-    frames = _frames_along(cocycle, theta, splitting.dims, splitting.window, n_max)
-    centers = [splitting.center] + [center for _, center, _ in frames[1:]]
+    _, centers, _ = _frames_along(cocycle, theta, splitting.dims, splitting.window, n_max)
+    centers[0] = splitting.center
     rprod = np.eye(splitting.dims[1], dtype=complex)
     log_scale = 0.0
     first = 1
     for mats in _orbit_batches(cocycle, theta + cocycle.alpha * np.arange(n_max)):
         count = len(mats)
-        q = np.stack(centers[first:first + count])
-        images = mats @ np.stack(centers[first - 1:first + count - 1])
+        q = centers[first:first + count]
+        images = mats @ centers[first - 1:first + count - 1]
         restricted = q.conj().swapaxes(-2, -1) @ images
         off = (np.linalg.norm(images - q @ restricted, axis=(-2, -1))
                > INVARIANCE_TOL * np.linalg.norm(images, axis=(-2, -1)))

@@ -6,7 +6,7 @@ its seed and the suite stays order-independent.
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 from qplattice import cocycle, corpus, splitting
 from qplattice.operators import (
@@ -101,6 +101,27 @@ def reference_frame(cocycle, theta, n_window, n_cols, seed, backward):
     return q
 
 
+def reference_frames_along(c, theta, dims, n_window, n_steps):
+    """The (expanding, neutral, contracting) frame stacks of
+    ``splitting._frames_along``, with the neutral frame intersected one
+    step at a time through ``scipy.linalg.null_space``: the reference for
+    the stacked intersection."""
+    d_u, d_c, d_s = dims
+    fwd = splitting._carried_frames(c, theta, n_window, n_steps, d_u + d_c, seed=1)
+    bwd = splitting._carried_frames(c.inverse(), theta + n_steps * c.alpha,
+                                    n_window, n_steps, d_s + d_c, seed=2)[::-1]
+    centers = []
+    for f, b in zip(fwd, bwd):
+        coeff = null_space(np.hstack([f, -b]))
+        center = orthonormal_columns(f @ coeff[: f.shape[1]])
+        if center.shape[1] != d_c:
+            raise ConvergenceError(
+                "neutral frame has dimension %d, expected %d" % (center.shape[1], d_c)
+            )
+        centers.append(center)
+    return fwd[..., :d_u], np.stack(centers), bwd[..., :d_s]
+
+
 def reference_growth_constant(records):
     """Bisection for the smallest c with value <= c g exp(c g eps n) over
     the records, each c in [1e-12, 1e12]."""
@@ -152,14 +173,14 @@ def reference_center_growth(c, split, n_max):
     """Envelope of the restricted growth, one restricted step at a time
     between the neutral frames swept along the orbit."""
     theta = split.theta
-    frames = splitting._frames_along(c, theta, split.dims, split.window, n_max)
+    _, centers, _ = splitting._frames_along(c, theta, split.dims, split.window, n_max)
     q = split.center
     rprod = np.eye(split.dims[1], dtype=complex)
     log_scale = 0.0
     out = np.empty(n_max + 1)
     out[0] = 1.0
     mats = cocycle.orbit_matrices(c, theta + c.alpha * np.arange(n_max))
-    for n, (a, (_, center, _)) in enumerate(zip(mats, frames[1:]), start=1):
+    for n, (a, center) in enumerate(zip(mats, centers[1:]), start=1):
         image = a @ q
         q = center
         step = q.conj().T @ image

@@ -302,8 +302,8 @@ def reference_neutral_growth(cocycle, splitting, n_max, backward,
         log_norm = log_scale + np.log(np.linalg.norm(rprod, 2))
         out[n] = max(out[n - 1], float(np.exp(2.0 * log_norm)))
         if n % rebase_every == 0 or n == n_max:
-            _, fresh, _ = _frames_along(cocycle, theta + n * alpha, splitting.dims,
-                                        fresh_window)[0]
+            fresh = _frames_along(cocycle, theta + n * alpha, splitting.dims,
+                                  fresh_window)[1][0]
             rprod = (fresh.conj().T @ q) @ rprod
             q = fresh
     return out

@@ -45,8 +45,42 @@ def test_csv_artifacts_compare_column_by_column(tmp_path, capsys):
         "%s: column error: 1 cells differ" % item,
         "%s: footer [['# config=abc version=0.1.0 seed=1']] vs "
         "[['# config=abc version=0.1.0 seed=2']]" % item,
-        "1 CLI artifacts identical, 1 differ; 1 library results equal, 0 differ",
+        "1 CLI artifacts identical, 1 differ; 1 library results equal, 0 differ; "
+        "0 demo outputs identical, 0 differ",
     ]
+
+
+def test_demo_outputs_compare_as_text(tmp_path, capsys):
+    runs = []
+    for name, splitting_text in (("first", "dims (1, 0, 1)\ngap 6.85\n"),
+                                 ("second", "dims (1, 0, 1)\ngap 6.86\n")):
+        root = make_run(tmp_path / name, "E,L1\n0.5,1.25\n", {"exponents": [1.25]})
+        demos = root / "demos"
+        demos.mkdir()
+        (demos / "free_line.txt").write_text("m = 0.5j\n")
+        (demos / "splitting.txt").write_text(splitting_text)
+        runs.append(root)
+    (runs[1] / "demos" / "extra.txt").write_text("")
+    assert compare_runs.compare(runs[0], runs[0]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "2 CLI artifacts identical, 0 differ; 1 library results equal, 0 differ; "
+        "2 demo outputs identical, 0 differ")
+
+    assert compare_runs.compare(*runs) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "demos/extra.txt: only in %s" % runs[1],
+        "demos/splitting.txt: line 2: 'gap 6.85' vs 'gap 6.86'",
+        "2 CLI artifacts identical, 0 differ; 1 library results equal, 0 differ; "
+        "1 demo outputs identical, 2 differ",
+    ]
+
+
+def test_text_differences_name_the_first_line_that_differs():
+    assert compare_runs.text_differences("a\nb\n", "a\nb\n") == []
+    assert compare_runs.text_differences("a\nb\n", "a\nc\nd\n") == ["line 2: 'b' vs 'c'"]
+    assert compare_runs.text_differences("a\nb\n", "a\nb\nc\n") == [
+        "line 3: '' vs 'c'"]
+    assert compare_runs.text_differences("a\nb", "a\nb\n") == ["1 newlines vs 2"]
 
 
 def test_csv_artifacts_with_other_rows_differ_as_a_whole():

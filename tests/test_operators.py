@@ -223,15 +223,15 @@ def test_dual_swaps_hopping_and_potential():
     op = almost_mathieu(0.5, theta=0.3)
     dual = dual_operator(op)
     assert dual.hopping.coefficient(1) == 0.5
-    assert dual.potential.coefficients[1] == 1.0
+    assert dual.potential.fourier.coefficient(1) == 1.0
     assert dual.theta == op.theta
     assert dual.epsilon == 1.0
     # applying duality twice returns to the original coefficients
     again = dual_operator(dual)
     assert again.hopping == op.hopping
-    assert again.potential.coefficients == {
-        k: op.epsilon * c for k, c in op.potential.coefficients.items()
-    }
+    series = op.potential.fourier
+    assert again.potential.fourier == Hopping(
+        {k: op.epsilon * series.coefficient(k) for k in series.offsets})
 
 
 def test_dual_requires_analytic_potential():
@@ -247,7 +247,7 @@ def test_config_round_trip():
     op = random_line(rng)
     back = operator_from_config(op.to_config())
     assert back.hopping == op.hopping
-    assert back.potential.coefficients == op.potential.coefficients
+    assert back.potential.fourier == op.potential.fourier
     assert back.alpha == op.alpha and back.theta == op.theta
     assert back.epsilon == op.epsilon
 

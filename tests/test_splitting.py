@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, null_space
 
-from conftest import random_hermitian, random_line, random_strip, reference_growth_constant
+from conftest import random_form_preserving, random_hermitian, random_line, random_strip, \
+    reference_frames_along, reference_growth_constant
 from qplattice.cocycle import transfer_cocycle
 from qplattice.corpus import spectrum_sample
 from qplattice.linalg import ArgumentError, ConvergenceError, InvariantError, \
@@ -28,7 +29,7 @@ from qplattice.splitting import (
     telescoping_check,
     vertical_angle,
 )
-from qplattice.symplectic import pairing_matrix
+from qplattice.symplectic import canonical_basis, pairing_matrix
 
 # at energy 3 the free transfer matrix has eigenvector slopes phi^2 and
 # phi^-2 for the golden mean phi, hence these frozen frame values
@@ -153,11 +154,36 @@ def test_swept_frames_match_frames_converged_at_each_phase():
         cocycle = transfer_cocycle(strip, energy + shift)
         for c, steps in ((cocycle, (0, 1, 17, 128, 255, 256)), (cocycle.inverse(), (200,))):
             swept = _frames_along(c, 0.0, (1, 2, 1), DEFAULT_WINDOW, 256)
-            assert len(swept) == 257
+            assert [len(stack) for stack in swept] == [257] * 3
             for n in steps:
-                single = _frames_along(c, n * c.alpha, (1, 2, 1), DEFAULT_WINDOW)[0]
-                for frame, reference in zip(swept[n], single):
-                    assert principal_angles(frame, reference).max() < 1e-11
+                single = _frames_along(c, n * c.alpha, (1, 2, 1), DEFAULT_WINDOW)
+                for stack, reference in zip(swept, single):
+                    assert principal_angles(stack[n], reference[0]).max() < 1e-11
+
+
+def test_stacked_neutral_frames_equal_the_per_step_intersection():
+    # one batched SVD for the whole sweep gives, bit for bit, the frames
+    # of one null_space call per step
+    strip, energy = mixed_strip()
+    for shift in (0.0, 1e-3j):
+        cocycle = transfer_cocycle(strip, energy + shift)
+        for c in (cocycle, cocycle.inverse()):
+            stacks = _frames_along(c, 0.0, (1, 2, 1), DEFAULT_WINDOW, 256)
+            reference = reference_frames_along(c, 0.0, (1, 2, 1), DEFAULT_WINDOW, 256)
+            for stack, expected in zip(stacks, reference):
+                assert stack.shape == expected.shape
+                assert np.array_equal(stack, expected)
+
+
+def test_neutral_frame_of_a_hyperbolic_cocycle_is_refused():
+    # off the spectrum of a K=2 strip every direction expands or
+    # contracts, so two neutral directions are refused rather than
+    # returned empty
+    strip = random_strip(np.random.default_rng(61), k_max=2)
+    cocycle = transfer_cocycle(strip, 1.2 * strip.norm_bound())
+    with pytest.raises(ConvergenceError,
+                       match="^neutral frame has dimension 0, expected 2$"):
+        _frames_along(cocycle, 0.0, (0, 2, 0), DEFAULT_WINDOW)
 
 
 def test_neutral_growth_sweeps_one_frame_per_direction(converged_frames):
@@ -337,6 +363,51 @@ def test_telescoping_walks_the_chain_once():
     assert len(calls) == 2 * 30
     assert sorted(calls) == sorted([(0.0, j) for j in range(1, 31)]
                                    + [(0.01, j) for j in range(1, 31)])
+
+
+def test_telescoping_on_a_balanced_subspace():
+    # span(e1, e3) in C^4: a proper subspace, on which the reverse-norm
+    # constant changes from link to link (on the whole space it stays 4)
+    rng = np.random.default_rng(5)
+    form = pairing_matrix(np.eye(2))
+    base = [random_form_preserving(rng, np.eye(2), scale=0.3) for _ in range(30)]
+    gens = [np.linalg.solve(form, 0.3 * random_hermitian(rng, 4)) for _ in range(30)]
+    lip = 1.05 * max(np.linalg.norm(b, 2) * np.linalg.norm(g, 2)
+                     for b, g in zip(base, gens))
+    t = 0.01
+
+    def family(s, j):
+        return base[j - 1] @ expm(s * gens[j - 1])
+
+    def constant(frame):
+        # ||S|| sum_i ||xi_i|| ||xi_i*|| over the canonical basis
+        xi, k = canonical_basis(form, frame)
+        norms = np.linalg.norm(xi, axis=0)
+        return np.linalg.norm(form, 2) * 2.0 * np.sum(norms[:k] * norms[k:])
+
+    v = np.eye(4)[:, [0, 2]]
+    report = telescoping_check(form, family, v, lip=lip, t=t, n_steps=30)
+
+    # dense products of the unperturbed and the perturbed chain
+    prefix = moved = np.eye(4)
+    constants = [constant(v)]
+    growth = 1.0
+    for j in range(1, 31):
+        prefix = family(0.0, j) @ prefix
+        moved = family(t, j) @ moved
+        constants.append(constant(prefix @ v))
+        growth = max(growth, np.linalg.norm(prefix @ v, 2) ** 2)
+    image = np.linalg.qr(moved @ v)[0]
+    expected = {
+        "norm": np.linalg.norm(moved @ v, 2),
+        "inverse_norm": np.linalg.norm(np.linalg.solve(moved, image), 2),
+        "constant": max(constants),
+        "growth": growth,
+    }
+    assert report.ok
+    assert max(constants) > 100.0
+    for name, value in expected.items():
+        assert getattr(report, name) == pytest.approx(value, rel=1e-12), name
 
 
 def test_telescoping_input_validation():

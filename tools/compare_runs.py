@@ -3,8 +3,10 @@
 Runs every operation of the three benchmark workloads once, at one seed,
 against the qplattice sources of a checkout, and saves what they leave:
 the CLI artifacts as written, and each library call's result, reduced to
-plain numbers and arrays and pickled.  A second command compares two such
-runs file by file and result by result, bit for bit.
+plain numbers and arrays and pickled.  It also runs the repository's
+``demos/*.py`` against the checkout and keeps what each prints.  A second
+command compares two such runs file by file and result by result, bit for
+bit.
 
     python3 tools/compare_runs.py run --checkout PARENT --seed 1 --out runs/parent-1
     python3 tools/compare_runs.py run --checkout . --seed 1 --out runs/change-1
@@ -16,7 +18,8 @@ calls whatever the checkouts hold.  ``compare`` prints one line per item
 that differs or is missing, then a summary, and exits 1 if anything does.
 A JSON artifact whose bytes differ is compared field by field, and a CSV
 artifact column by column with its provenance footer as text, so the line
-names the field or column that moved and by how much.
+names the field or column that moved and by how much.  A demo's output is
+compared as text, and the line names the first output line that differs.
 """
 
 import argparse
@@ -26,6 +29,7 @@ import io
 import json
 import os
 import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,9 +49,10 @@ def plain(value):
 
 
 def run(checkout, seed, out):
-    """Run every operation of the workloads once; CLI artifacts land in
-    ``out/<workload>/cmdNN/out``, library results in
-    ``out/<workload>/library/NN_<group>.pkl``."""
+    """Run every operation of the workloads once and every demo; CLI
+    artifacts land in ``out/<workload>/cmdNN/out``, library results in
+    ``out/<workload>/library/NN_<group>.pkl``, and what demo ``name.py``
+    prints in ``out/demos/name.txt``."""
     src = (Path(checkout) / "src").resolve()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
@@ -73,6 +78,16 @@ def run(checkout, seed, out):
                 continue
             with open(library / ("%02d_%s.pkl" % (index, op.group)), "wb") as fh:
                 pickle.dump(plain(result), fh)
+
+    demos = Path(out) / "demos"
+    demos.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for script in sorted((HERE / "demos").glob("*.py")):
+        done = subprocess.run([sys.executable, str(script)], env=env, cwd=out,
+                              capture_output=True, text=True)
+        if done.returncode:
+            print("demo %s: exit code %d\n%s" % (script.name, done.returncode, done.stderr))
+        (demos / (script.stem + ".txt")).write_text(done.stdout)
 
 
 def differences(a, b, path="result"):
@@ -140,19 +155,41 @@ def csv_differences(a, b):
     return problems
 
 
+def text_differences(a, b):
+    """The first line at which two outputs differ, if any."""
+    lines_a, lines_b = a.split("\n"), b.split("\n")
+    for number, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
+        if x != y:
+            return ["line %d: %r vs %r" % (number, x, y)]
+    # otherwise the two differ at most in trailing newlines
+    return [] if a == b else ["%d newlines vs %d" % (a.count("\n"), b.count("\n"))]
+
+
+def item_kind(item):
+    """What a file of a run holds: a library result, a demo's output or
+    a CLI artifact; None for anything else."""
+    if item.suffix == ".pkl":
+        return "result"
+    if item.parts[0] == "demos":
+        return "demo"
+    return "artifact" if "out" in item.parts else None
+
+
 def compare(first, second):
     """Print what differs between two runs; return the number of items
-    (files and results) that differ or exist in one run only."""
+    (files, results and demo outputs) that differ or exist in one run only."""
     first, second = Path(first), Path(second)
     items = sorted({p.relative_to(root) for root in (first, second)
                     for p in root.rglob("*") if p.is_file()
-                    and (p.suffix == ".pkl" or "out" in p.relative_to(root).parts)})
-    counts = {"artifact": [0, 0], "result": [0, 0]}
+                    and item_kind(p.relative_to(root))})
+    counts = {"artifact": [0, 0], "result": [0, 0], "demo": [0, 0]}
     for item in items:
-        kind = "result" if item.suffix == ".pkl" else "artifact"
+        kind = item_kind(item)
         a, b = first / item, second / item
         if not (a.is_file() and b.is_file()):
             problems = ["only in %s" % (first if a.is_file() else second)]
+        elif kind == "demo":
+            problems = text_differences(a.read_text(), b.read_text())
         elif kind == "artifact":
             problems = [] if a.read_bytes() == b.read_bytes() else ["bytes differ"]
             if problems and item.suffix == ".json":
@@ -166,9 +203,10 @@ def compare(first, second):
         counts[kind][bool(problems)] += 1
         for problem in problems:
             print("%s: %s" % (item, problem))
-    print("%d CLI artifacts identical, %d differ; %d library results equal, %d differ"
-          % (*counts["artifact"], *counts["result"]))
-    return counts["artifact"][1] + counts["result"][1]
+    print("%d CLI artifacts identical, %d differ; %d library results equal, %d differ; "
+          "%d demo outputs identical, %d differ"
+          % (*counts["artifact"], *counts["result"], *counts["demo"]))
+    return sum(differ for _, differ in counts.values())
 
 
 def main(argv=None):
