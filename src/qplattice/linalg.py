@@ -18,6 +18,7 @@ __all__ = [
     "banded_matmul",
     "solve_shifted_banded",
     "eigenvalues_banded",
+    "counts_below_banded",
     "nearest_eigenpair",
     "orthonormal_columns",
     "principal_angles",
@@ -30,6 +31,9 @@ EIGENPAIR_TOL = 1e-10
 EIGENPAIR_MAX_ITER = 60
 # orthonormal_columns: smallest |r_ii| relative to the largest
 RANK_TOL = 1e-12
+# counts_below_banded: a sweep of a band wider than one is certified when
+# no pivot-to-be exceeds GROWTH_BOUND times the largest entry of H - E
+GROWTH_BOUND = 1e8
 
 
 class ArgumentError(ValueError):
@@ -108,6 +112,96 @@ def eigenvalues_banded(ab_upper):
     """All eigenvalues, ascending, of a Hermitian matrix in banded upper
     storage."""
     return sla.eig_banded(ab_upper, lower=False, eigvals_only=True)
+
+
+def counts_below_banded(bands, energies):
+    """Number of eigenvalues strictly below each energy, for each matrix of
+    a stack of Hermitian matrices in banded upper storage.
+
+    ``bands`` has shape ``(phases, b + 1, n)``; returns integer counts of
+    shape ``(phases, energies)``.  By Sylvester's law of inertia a count
+    is the number of negative pivots of an LDLᴴ factorisation of H − E
+    without pivoting.  One sweep costs about n·b²·m
+    operations per matrix for m energies, and an eigensolve about n²·b,
+    so the stack is swept only when b·m <= n; otherwise, and for a matrix
+    whose sweep fails its certificate, the counts are read off
+    :func:`eigenvalues_banded`.  A non-finite band or energy raises.
+    """
+    bands = np.asarray(bands)
+    energies = np.asarray(energies, dtype=float)
+    if bands.ndim != 3 or energies.ndim != 1:
+        raise ArgumentError("need a stack of bands and a 1-d energy array")
+    if not (np.isfinite(bands).all() and np.isfinite(energies).all()):
+        raise ArgumentError("non-finite band or energy")
+    bw, n = bands.shape[1] - 1, bands.shape[2]
+    if 0 < bw * energies.size <= n:
+        counts, certified = _inertia_sweep(bands, energies)
+    else:
+        counts = np.empty((bands.shape[0], energies.size), dtype=np.int64)
+        certified = np.zeros(bands.shape[0], dtype=bool)
+    for p in np.flatnonzero(~certified):
+        counts[p] = np.searchsorted(eigenvalues_banded(bands[p]), energies)
+    return counts
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _inertia_sweep(bands, energies):
+    # Negative pivots of H - E at every (phase, energy), one row per step.
+    # The window s holds the Schur complement of rows k .. k+b-1 (its
+    # strict lower triangle is never read); step k appends column k + b
+    # from the band, takes the pivot s[0, 0] and applies one rank-one
+    # update.  A pivot below pivmin in magnitude becomes +pivmin (LAPACK's
+    # dstebz takes -pivmin, which counts an energy on an eigenvalue), so
+    # the counts are strictly below E, as searchsorted gives them.
+    # Returns the counts and, per phase, whether every value stayed finite
+    # and, for b > 1, every pivot-to-be within GROWTH_BOUND times the
+    # largest entry of H - E.  That bounds each term of |L| |D| |L^H|, and
+    # with it the backward error of the factorisation, by about
+    # 2 GROWTH_BOUND eps times that entry.  A tridiagonal band needs no
+    # certificate: its Sturm count is backward stable (Kahan 1966).
+    n_phases, bw, n = bands.shape[0], bands.shape[1] - 1, bands.shape[2]
+    shape = (n_phases, energies.size)
+    # largest off-diagonal entry per phase; storage left of the band
+    # (row r of column j with r + j < b) is not part of the matrix
+    stored = np.arange(bw)[:, None] + np.arange(n) >= bw
+    off = np.where(stored, np.abs(bands[:, :bw]), 0.0).max(axis=(1, 2))
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, off[:, None]) ** 2
+    diag = bands[:, bw].real
+    scale = np.maximum(off[:, None],
+                       np.maximum(diag.max(axis=1)[:, None] - energies,
+                                  energies - diag.min(axis=1)[:, None]))
+    s = np.zeros((bw, bw) + shape, dtype=np.result_type(bands.dtype, float))
+    for i in range(bw):
+        for j in range(i, bw):
+            s[i, j] = bands[:, bw + i - j, j, None]
+        s[i, i] -= energies
+    t = np.zeros_like(s)
+    u = np.empty((bw,) + shape, dtype=s.dtype)
+    update = np.empty_like(s)
+    cols = bands.transpose(2, 1, 0)[..., None]
+    edge = np.zeros_like(cols[0])
+    counts = np.zeros(shape, dtype=np.int64)
+    peak = np.zeros((bw,) + shape)
+    for k in range(n):
+        d = s[0, 0].real
+        d = np.where(np.abs(d) < pivmin, pivmin, d)
+        counts += d < 0
+        # past the last column: a decoupled zero row and column
+        col, shift = (cols[k + bw], energies) if k + bw < n else (edge, 0.0)
+        u[: bw - 1] = s[0, 1:]
+        u[bw - 1] = col[0]
+        np.multiply(u.conj()[:, None], (u * (1.0 / d))[None, :], out=update)
+        np.subtract(s[1:, 1:], update[: bw - 1, : bw - 1], out=t[: bw - 1, : bw - 1])
+        np.subtract(col[1:bw], update[: bw - 1, bw - 1], out=t[: bw - 1, bw - 1])
+        # the new corner as (a - E) - |u|^2 / d, Kahan's order
+        np.subtract(col[bw], shift, out=t[bw - 1, bw - 1])
+        t[bw - 1, bw - 1] -= update[bw - 1, bw - 1]
+        np.maximum(peak, np.abs(np.einsum("ii...->i...", t).real), out=peak)
+        s, t = t, s
+    peak = peak.max(axis=0)
+    certified = np.isfinite(peak) & (bw == 1 or peak <= GROWTH_BOUND * scale)
+    # an off-diagonal entry past 1e154 overflows pivmin
+    return counts, (certified & np.isfinite(pivmin)).all(axis=1)
 
 
 def nearest_eigenpair(ab_upper, sigma):

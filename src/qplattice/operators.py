@@ -75,8 +75,10 @@ class Hopping:
                         "conflicting hopping entries for k=%d" % kk
                     )
                 table[kk] = ww
-        if 0 in table and abs(table[0].imag) > 1e-14:
-            raise ArgumentError("w_0 must be real")
+        if 0 in table:
+            if abs(table[0].imag) > 1e-14:
+                raise ArgumentError("w_0 must be real")
+            table[0] = complex(table[0].real)
         self._table = {k: w for k, w in sorted(table.items()) if w != 0}
 
     @classmethod

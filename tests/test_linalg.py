@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
+import qplattice.linalg as linalg
 from conftest import random_hermitian
 from qplattice.linalg import (
     ArgumentError,
     ConvergenceError,
     banded_matmul,
     banded_to_full_band,
+    counts_below_banded,
     eigenvalues_banded,
     nearest_eigenpair,
     orthonormal_columns,
@@ -96,6 +99,116 @@ def test_eigenvalues_banded_matches_dense():
     np.testing.assert_array_equal(eigenvalues_banded(tb),
                                   sla.eigvalsh_tridiagonal(tb[1], tb[0, 1:]))
     np.testing.assert_allclose(eigenvalues_banded(tb), np.linalg.eigvalsh(t), atol=1e-10)
+
+
+def eigenvalue_counts(bands, energies):
+    return np.stack([np.searchsorted(eigenvalues_banded(ab), energies) for ab in bands])
+
+
+def refuse_eigenvalues(ab_upper):
+    raise AssertionError("eigenvalues_banded called")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), bw=st.integers(1, 4), real=st.booleans(),
+       n_phases=st.integers(1, 3), n_energies=st.integers(1, 6), extra=st.integers(0, 12))
+def test_counts_below_banded_match_eigenvalue_counts(seed, bw, real, n_phases, n_energies,
+                                                     extra):
+    # b m <= n, so every stack is swept; half the energies are diagonal
+    # entries, the first of them row 0's, which makes an exact zero pivot
+    # (n >= 2: eig_banded returns 0 for any one-row band)
+    rng = np.random.default_rng(seed)
+    n = max(bw * n_energies + extra, 2)
+    bands = np.stack([banded_hermitian(rng, n, bw)[1] for _ in range(n_phases)])
+    if real:
+        bands = bands.real.copy()
+    energies = rng.uniform(-4.0, 4.0, n_energies)
+    diagonal = bands[rng.integers(n_phases), bw].real
+    energies[: (n_energies + 1) // 2] = rng.choice(diagonal, (n_energies + 1) // 2)
+    energies[0] = bands[0, bw, 0].real
+    np.testing.assert_array_equal(counts_below_banded(bands, energies),
+                                  eigenvalue_counts(bands, energies))
+
+
+def band_with_singular_minor(seed, n=24, n_energies=9):
+    # a complex width-2 band, then one diagonal entry moved so that a
+    # leading minor of H - E is singular at a grid energy E
+    rng = np.random.default_rng(seed)
+    h, ab = banded_hermitian(rng, n, 2)
+    energies = np.linspace(-4.0, 4.0, n_energies)
+    e = energies[rng.integers(n_energies)]
+    k = int(rng.integers(1, n - 1))
+    shifted = h - e * np.eye(n)
+    pivot = shifted[k, k] - shifted[k, :k] @ np.linalg.solve(shifted[:k, :k], shifted[:k, k])
+    ab[2, k] -= pivot.real
+    return ab, energies
+
+
+def test_counts_below_banded_certify_a_singular_leading_minor():
+    # the near-zero pivot grows the Schur complement by about 1e15: without
+    # the growth certificate 26 of seeds 0-299 count wrong at a grid
+    # energy, and these are the first four
+    seeds = (7, 15, 23, 31)
+    bands = np.stack([band_with_singular_minor(seed)[0] for seed in seeds])
+    energies = band_with_singular_minor(seeds[0])[1]
+    np.testing.assert_array_equal(counts_below_banded(bands, energies),
+                                  eigenvalue_counts(bands, energies))
+
+
+def test_counts_below_banded_sweep_the_free_line_at_zero(monkeypatch):
+    # E = 0 makes an exact zero pivot on every other row of the free line;
+    # a tridiagonal band needs no certificate, so nothing falls back
+    n = 512
+    bands = np.zeros((2, 2, n))
+    bands[:, 0, 1:] = 1.0
+    energies = np.linspace(-2.5, 2.5, 257)
+    closed_form = np.sort(2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
+    monkeypatch.setattr(linalg, "eigenvalues_banded", refuse_eigenvalues)
+    counts = counts_below_banded(bands, energies)
+    assert counts[0, 128] == n // 2
+    np.testing.assert_array_equal(counts, np.tile(np.searchsorted(closed_form, energies), (2, 1)))
+
+
+def test_counts_below_banded_are_strict():
+    # a diagonal band: every energy on an eigenvalue, none counted
+    bands = np.zeros((1, 2, 6))
+    bands[0, 1] = np.arange(6.0)
+    np.testing.assert_array_equal(counts_below_banded(bands, np.arange(6.0)), [np.arange(6)])
+
+
+@pytest.mark.parametrize("bw, row", [(1, "off"), (2, "off"), (1, "diag")])
+def test_counts_below_banded_fall_back_on_a_non_finite_sweep(monkeypatch, bw, row):
+    # the second matrix gets off-diagonal entries of 1e200 (then its pivmin
+    # overflows for b = 1, its Schur complement for b = 2) or diagonal
+    # entries of 1.5e308 (then a - E overflows at E = -1.5e308); it alone
+    # is counted from its eigenvalues, and no warning is raised
+    rng = np.random.default_rng(11)
+    bands = np.stack([banded_hermitian(rng, 40, bw)[1] for _ in range(2)])
+    if row == "off":
+        bands[1, :bw] *= 1e200
+    else:
+        bands[1, bw] = 1.5e308
+    energies = np.array([-1.5e308, -1.0, 0.0, 1.0, 1.5e308])
+    calls = []
+
+    def counted(ab_upper):
+        calls.append(ab_upper)
+        return eigenvalues_banded(ab_upper)
+
+    monkeypatch.setattr(linalg, "eigenvalues_banded", counted)
+    counts = counts_below_banded(bands, energies)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], bands[1])
+    np.testing.assert_array_equal(counts, eigenvalue_counts(bands, energies))
+
+
+def test_counts_below_banded_reject_non_finite_input():
+    rng = np.random.default_rng(12)
+    bands = banded_hermitian(rng, 16, 2)[1][None]
+    with pytest.raises(ArgumentError, match="non-finite"):
+        counts_below_banded(np.where(bands == bands[0, 2, 5], np.nan, bands), [0.0, 1.0])
+    with pytest.raises(ArgumentError, match="non-finite"):
+        counts_below_banded(bands, [0.0, np.inf])
 
 
 def test_nearest_eigenpair():

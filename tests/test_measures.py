@@ -1,17 +1,22 @@
 """State-density tables, log-energy quadrature, and local scaling probes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import qplattice.linalg as linalg
 from conftest import random_line
 from qplattice.cocycle import (
     companion_cocycle,
+    phase_lattice,
     rotation_number,
     top_lyapunov,
     transfer_cocycle,
     upper_lyapunov_sum,
 )
-from qplattice.linalg import ArgumentError
+from qplattice.corpus import cubic_tail_operator
+from qplattice.linalg import ArgumentError, eigenvalues_banded
 from qplattice.measures import (
     IdsTable,
     holder_probe,
@@ -25,6 +30,7 @@ from qplattice.operators import (
     Hopping,
     LineOperator,
     Potential,
+    StripOperator,
     almost_mathieu,
     fold_to_strip,
     free_laplacian,
@@ -91,6 +97,56 @@ def test_strip_table_matches_unfolded_line():
         assert from_strip.resolution() == from_line.resolution()
         assert np.all(np.diff(from_strip.values) >= 0)
         assert from_strip.values.min() >= 0.0 and from_strip.values.max() <= 1.0
+
+
+def test_cli_sized_tables_sweep_without_eigenvalues(monkeypatch):
+    # 2,048 sites and 257 energies (b m <= n): the real tridiagonal AMO and
+    # a complex range-3 line are counted by inertia alone, and the values
+    # are those of the eigenvalue counts.  (Not at phase 0.25: there AMO has
+    # an eigenvalue within rounding of the grid energy 0, which LAPACK puts
+    # at -3.0e-14 and the Sturm count in (0, 1e-15).)
+    cases = [almost_mathieu(2.0), random_line(np.random.default_rng(4), 3)]
+    expected = []
+    for op in cases:
+        grid = np.linspace(-1.05 * op.norm_bound(), 1.05 * op.norm_bound(), 257)
+        counts = [np.searchsorted(eigenvalues_banded(replace(op, theta=theta)
+                                                     .assemble_banded(2048)), grid)
+                  for theta in phase_lattice(3)]
+        expected.append((grid, (np.array(counts) / 2048).sum(axis=0) / 3))
+
+    def refuse(ab_upper):
+        raise AssertionError("eigenvalues_banded called")
+
+    monkeypatch.setattr(linalg, "eigenvalues_banded", refuse)
+    for op, (grid, values) in zip(cases, expected):
+        np.testing.assert_array_equal(ids(op, grid, n_sites=2048, samples=3).values, values)
+
+
+def test_cubic_tail_table_never_sweeps(monkeypatch):
+    # the cut-64 tail on 1,024 sites and 257 energies: b m > n, so each
+    # phase is counted from its eigenvalues
+    def refuse(bands, energies):
+        raise AssertionError("inertia sweep called")
+
+    monkeypatch.setattr(linalg, "_inertia_sweep", refuse)
+    table = ids(cubic_tail_operator(), np.linspace(-2.5, 2.5, 257), n_sites=1024, samples=1)
+    assert table.values[0] == 0.0 and table.values[-1] == 1.0
+
+
+def test_table_raises_on_a_non_finite_truncation():
+    # one NaN potential block, at strip site 5 of the first phase sample,
+    # as in the frame kernels' test; NaN < E is False, so a count would
+    # silently miss it
+    amo = fold_to_strip(almost_mathieu(2.0))
+    bad_phase = phase_lattice(2)[0] + 5 * GOLDEN_MEAN
+
+    def potential(x):
+        bad = np.abs(np.asarray(x) - bad_phase) < 1e-9
+        return np.where(bad[..., None, None], np.nan, amo.potential(x))
+
+    strip = StripOperator(amo.coupling, potential, alpha=amo.alpha)
+    with pytest.raises(ArgumentError, match="non-finite"):
+        ids(strip, np.linspace(-5.0, 5.0, 9), n_sites=64, samples=2)
 
 
 # ── log-energy quadrature ────────────────────────────────────────────────────

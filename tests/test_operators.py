@@ -52,6 +52,15 @@ def test_hopping_triples_round_trip():
     assert Hopping.from_triples(w.as_triples()) == w
 
 
+def test_hopping_stores_a_real_w0():
+    # an imaginary part below the tolerance is dropped, not conjugated:
+    # rebuilds keep w_0, and the truncation stays a real band
+    w = Hopping({0: 1 + 1e-15j, 1: 0.5})
+    assert w.coefficient(0).imag == 0
+    assert Hopping.from_triples(w.as_triples()) == w
+    assert LineOperator(w, Potential.zero()).assemble_banded(8).dtype == float
+
+
 def test_potential_sampling():
     v = Potential("fourier", {0: 0.5, 1: 0.25j})
     x = np.linspace(0, 1, 11)
