@@ -278,9 +278,11 @@ def _block_prefixes(mats, size):
 
 
 def _state_sweep(chunks, v):
-    """Carry the unit state ``v`` (shape ``(..., d)``) along ``chunks``,
+    """Carry the unit states ``v`` (shape ``(..., d)``) along ``chunks``,
     stacks of fiber matrices in the order they act, each a whole number
     of ``SWEEP_BLOCK`` steps but the last (`_orbit_batches` gives them).
+    The steps' batch axes broadcast against the states': steps of shape
+    ``(n, 1, d, d)`` carry a frame ``v`` of d states, one per row.
 
     Yields ``(states, logs)`` per batch (`_batches`): unit states after
     each step and the logs of their norms, so that ``v`` carried over the
@@ -305,8 +307,9 @@ def _sweep_blocks(mats, v, log, size):
     # The unit states and log norms of v carried across one batch, one
     # product per block of `size` steps.
     prefix, expo = _block_prefixes(mats, size)
-    states = np.empty(prefix.shape[:-1], dtype=np.result_type(prefix, v))
-    logs = np.empty(prefix.shape[:-2])
+    batch = (len(prefix),) + np.broadcast_shapes(prefix.shape[1:-2], v.shape[:-1])
+    states = np.empty(batch + v.shape[-1:], dtype=np.result_type(prefix, v))
+    logs = np.empty(batch)
     for start in range(0, len(prefix), size):
         block = slice(start, start + size)
         w = (prefix[block] @ v[..., None])[..., 0]

@@ -110,7 +110,10 @@ def solve_shifted_banded(ab_upper, z, rhs, tol=1e-10):
 
 def eigenvalues_banded(ab_upper):
     """All eigenvalues, ascending, of a Hermitian matrix in banded upper
-    storage."""
+    storage.  A one-row band is its real diagonal: scipy's ``eig_banded``
+    returns 0 for it."""
+    if np.shape(ab_upper)[-1] == 1:
+        return np.real(ab_upper[-1]).astype(float)
     return sla.eig_banded(ab_upper, lower=False, eigvals_only=True)
 
 

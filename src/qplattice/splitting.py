@@ -29,6 +29,7 @@ from .symplectic import form_defect, reverse_norm_constant
 from .cocycle import (
     _Segment,
     _orbit_batches,
+    _state_sweep,
     finite_window_rates,
     orbit_matrices,
     transfer_cocycle,
@@ -290,47 +291,39 @@ def _neutral_steps(cocycle, splitting, n_max):
     ``q_n^H A q_(n-1)``.  Rounding off the neutral frame therefore never
     enters the product to be amplified at the top rate, so no rebasing
     onto fresh frames is needed; what the image leaves outside the next
-    frame is checked against the invariance tolerance instead.  The
-    images, restricted steps and residuals of a batch of up to
-    ``cocycle.SWEEP_BATCH`` steps are stacked; only the d_c x d_c product
-    runs step by step.  A step that fails raises after the steps before
-    it have been yielded.
+    frame is checked against the invariance tolerance instead, and the
+    first step that fails raises before its batch is yielded.  The
+    restricted steps of a batch (`cocycle._orbit_batches`) are stacked,
+    and `cocycle._state_sweep` carries the columns of the identity across
+    them: ``log_scale`` is the largest column log and ``rprod`` the
+    columns rescaled to it.  A non-finite step, or a column the product
+    maps to zero, raises the sweep's ``ConvergenceError``.
     """
     theta = splitting.theta
     _, centers, _ = _frames_along(cocycle, theta, splitting.dims, splitting.window, n_max)
     centers[0] = splitting.center
-    rprod = np.eye(splitting.dims[1], dtype=complex)
-    log_scale = 0.0
+
+    def restricted_steps():
+        first = 1
+        for mats in _orbit_batches(cocycle, theta + cocycle.alpha * np.arange(n_max)):
+            q = centers[first:first + len(mats)]
+            images = mats @ centers[first - 1:first + len(mats) - 1]
+            restricted = q.conj().swapaxes(-2, -1) @ images
+            off = np.flatnonzero(np.linalg.norm(images - q @ restricted, axis=(-2, -1))
+                                 > INVARIANCE_TOL * np.linalg.norm(images, axis=(-2, -1)))
+            if len(off):
+                raise ConvergenceError("neutral frame not invariant at step %d"
+                                       % (first + off[0]))
+            first += len(mats)
+            yield restricted[:, None]
+
     first = 1
-    for mats in _orbit_batches(cocycle, theta + cocycle.alpha * np.arange(n_max)):
-        count = len(mats)
-        q = centers[first:first + count]
-        images = mats @ centers[first - 1:first + count - 1]
-        restricted = q.conj().swapaxes(-2, -1) @ images
-        off = (np.linalg.norm(images - q @ restricted, axis=(-2, -1))
-               > INVARIANCE_TOL * np.linalg.norm(images, axis=(-2, -1)))
-        logs = np.empty(count)
-        rprods = np.empty((count,) + rprod.shape, dtype=complex)
-        error = None
-        for k in range(count):
-            if off[k]:
-                error = "neutral frame not invariant at step %d"
-                break
-            rprod = restricted[k] @ rprod
-            scale = np.linalg.norm(rprod)
-            if scale == 0 or not np.isfinite(scale):
-                error = "restricted product degenerated at step %d"
-                break
-            log_scale += np.log(scale)
-            rprod = rprod / scale
-            logs[k], rprods[k] = log_scale, rprod
-        else:
-            k = count
-        if k:
-            yield np.arange(first, first + k), q[:k], logs[:k], rprods[:k]
-        if error:
-            raise ConvergenceError(error % (first + k))
-        first += count
+    for states, logs in _state_sweep(restricted_steps(), np.eye(splitting.dims[1])):
+        steps = np.arange(first, first + len(states))
+        log_scale = logs.max(axis=-1)
+        rprod = states.swapaxes(-2, -1) * np.exp(logs - log_scale[:, None])[:, None]
+        yield steps, centers[steps], log_scale, rprod
+        first += len(states)
 
 
 def center_growth(cocycle, splitting, n_max):

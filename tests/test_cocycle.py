@@ -563,6 +563,23 @@ def test_state_sweep_carries_states_across_overflowing_blocks():
             np.testing.assert_allclose(log_norm, log, rtol=1e-14)
 
 
+def test_state_sweep_carries_a_frame_as_its_states_one_by_one():
+    # a frame of three states crosses the overflowing blocks as each of
+    # its rows does alone; started in the contracted direction, the first
+    # row sends every block of the frame through one-step re-entry, so the
+    # other rows' logs sum the steps one at a time and agree to rounding
+    n_steps = 3 * SWEEP_BLOCK + 5
+    frame = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    for diagonal in ((1e60, 1e-60), (1e-60, 1e60)):
+        mats = overflowing_cocycle(diagonal).matrices(np.zeros(n_steps))
+        states, logs = map(np.concatenate, zip(*_state_sweep([mats[:, None]], frame)))
+        assert states.shape == (n_steps, 3, 2) and logs.shape == (n_steps, 3)
+        for k, v in enumerate(frame):
+            alone, alone_logs = map(np.concatenate, zip(*_state_sweep([mats], v)))
+            np.testing.assert_allclose(states[:, k], alone, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(logs[:, k], alone_logs, rtol=1e-14)
+
+
 def test_state_sweep_raises_on_a_vanishing_state():
     # a singular step maps the state to zero: stepping the block one
     # matrix at a time finds it, and the sweep raises instead of dividing
@@ -599,22 +616,58 @@ def test_frame_kernels_raise_on_a_non_finite_step():
         m_plus(strip, 0.3 + 0.5j)
 
 
+def amo_center_cases(n_max):
+    # AMO(0.5) inside its spectrum, where the neutral frame is everything
+    amo = almost_mathieu(0.5)
+    for energy in spectrum_sample(amo, 3):
+        cocycle = transfer_cocycle(fold_to_strip(amo), float(energy))
+        yield cocycle, compute_splitting(cocycle, 0.0, (0, 2, 0)), n_max
+
+
 def test_center_growth_matches_per_step_loop():
-    # bitwise, across chunk boundaries, forward and on the inverse: the
+    # to 1e-12 (the sweep multiplies in blocks, the loop one step at a
+    # time), across chunk boundaries, forward and on the inverse: the
     # mixed (1, 2, 1) strip and AMO(0.5) inside its spectrum
     line = random_line(np.random.default_rng(0), 2)
     energy = np.sort(eigenvalues_banded(line.assemble_banded(400)))[200]
     cocycle = transfer_cocycle(fold_to_strip(line), energy)
-    cases = [(cocycle, detect_splitting(cocycle, 0.0), 1100)]
-    amo = almost_mathieu(0.5)
-    for energy in spectrum_sample(amo, 3):
-        cocycle = transfer_cocycle(fold_to_strip(amo), float(energy))
-        cases.append((cocycle, compute_splitting(cocycle, 0.0, (0, 2, 0)), 2100))
+    cases = [(cocycle, detect_splitting(cocycle, 0.0), 1100),
+             *amo_center_cases(2100), *amo_center_cases(10000)]
     assert cases[0][1].dims == (1, 2, 1)
     for cocycle, split, n_max in cases:
         for c in (cocycle, cocycle.inverse()):
-            assert np.array_equal(center_growth(c, split, n_max),
-                                  reference_center_growth(c, split, n_max))
+            np.testing.assert_allclose(center_growth(c, split, n_max),
+                                       reference_center_growth(c, split, n_max),
+                                       rtol=1e-12, atol=0)
+
+
+def long_double_center_growth(c, split, n_max):
+    # the running envelope of the product of the restricted steps between
+    # the swept neutral frames, multiplied in np.clongdouble; the squared
+    # 2-norm of a 2x2 product P is the larger root of
+    # x^2 - ||P||_F^2 x + |det P|^2
+    _, centers, _ = _frames_along(c, split.theta, split.dims, split.window, n_max)
+    centers[0] = split.center
+    mats = c.matrices(split.theta + c.alpha * np.arange(n_max))
+    steps = centers[1:].conj().swapaxes(-2, -1) @ mats @ centers[:-1]
+    product = np.eye(2, dtype=np.clongdouble)
+    out = np.ones(n_max + 1, dtype=np.longdouble)
+    for n, step in enumerate(steps.astype(np.clongdouble), start=1):
+        product = step @ product
+        frob = (np.abs(product) ** 2).sum()
+        det = abs(product[0, 0] * product[1, 1] - product[0, 1] * product[1, 0]) ** 2
+        out[n] = (frob + np.sqrt(frob * frob - 4 * det)) / 2
+    return np.maximum.accumulate(out)
+
+
+def test_center_growth_matches_a_long_double_product():
+    # AMO(0.5) over 10^4 steps, both ways: rescaling the product without
+    # moving its log scale, or the reverse, shows here
+    for cocycle, split, n_max in amo_center_cases(10000):
+        for c in (cocycle, cocycle.inverse()):
+            exact = long_double_center_growth(c, split, n_max)
+            values = center_growth(c, split, n_max)
+            assert np.abs(values / exact - 1).max() <= 1e-12
 
 
 def test_center_growth_raises_as_the_per_step_loop():

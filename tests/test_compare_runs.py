@@ -4,6 +4,8 @@ import importlib.util
 import pickle
 from pathlib import Path
 
+import numpy as np
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_runs.py"
 spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
 compare_runs = importlib.util.module_from_spec(spec)
@@ -86,3 +88,33 @@ def test_text_differences_name_the_first_line_that_differs():
 def test_csv_artifacts_with_other_rows_differ_as_a_whole():
     problems = compare_runs.csv_differences("E,N\n0.5,0.25\n", "E,N\n0.5,0.25\n1.0,0.5\n")
     assert problems == ["header ['E', 'N'] and 1 rows vs header ['E', 'N'] and 2 rows"]
+
+
+def test_library_results_name_their_largest_relative_difference(tmp_path, capsys):
+    # a corpus manifest whose envelope moved by one unit in its last
+    # place, 2^-49 of 12, and an exponent that moved by a quarter of 4
+    runs = []
+    for name, envelope, exponent in (("first", 12.0, 4.0),
+                                     ("second", 12.0 + 2.0 ** -49, 3.0)):
+        root = make_run(tmp_path / name, "E,L1\n0.5,1.25\n", {"exponents": [1.25, exponent]})
+        (root / "corpus").mkdir()
+        checks = [{"label": "envelope", "value": envelope}]
+        with open(root / "corpus" / "run_corpus.pkl", "wb") as fh:
+            pickle.dump({"ok": True, "entries": [{"name": "amo_subcritical",
+                                                  "checks": checks}]}, fh)
+        runs.append(root)
+    assert compare_runs.compare(*runs) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "corpus/run_corpus.pkl: result.entries[0].checks[0].value: not bitwise equal, "
+        "largest absolute difference 1.78e-15, relative 1.48e-16",
+        "orbit_sweep/library/00_lyapunov_library.pkl: result.exponents[1]: not bitwise "
+        "equal, largest absolute difference 1, relative 0.25",
+        "2 CLI artifacts identical, 0 differ; 0 library results equal, 2 differ; "
+        "0 demo outputs identical, 0 differ",
+    ]
+    assert compare_runs.differences([1.0, np.nan], [1.0 + 1e-12, 2.0]) == [
+        "result[0]: not bitwise equal, largest absolute difference 1e-12, relative 1e-12",
+        "result[1]: not bitwise equal, largest absolute difference nan, relative nan",
+    ]
+    assert compare_runs.differences(np.array([1.0, np.nan]), np.array([1.0 + 1e-12, 2.0])) == [
+        "result: not bitwise equal, largest absolute difference 1e-12, relative 1e-12"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qplattice.linalg as linalg
 from conftest import random_hermitian
@@ -101,6 +101,17 @@ def test_eigenvalues_banded_matches_dense():
     np.testing.assert_allclose(eigenvalues_banded(tb), np.linalg.eigvalsh(t), atol=1e-10)
 
 
+@pytest.mark.parametrize("bw", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigenvalues_banded_of_one_row(bw, dtype):
+    # the eigenvalue of a 1x1 band is its diagonal entry; the rows above
+    # it lie outside the matrix (scipy's eig_banded returns 0 here)
+    ab = np.full((bw + 1, 1), 7.0, dtype=dtype)
+    ab[bw, 0] = 1.512
+    np.testing.assert_array_equal(eigenvalues_banded(ab), [1.512])
+    assert eigenvalues_banded(ab).dtype == float
+
+
 def eigenvalue_counts(bands, energies):
     return np.stack([np.searchsorted(eigenvalues_banded(ab), energies) for ab in bands])
 
@@ -112,13 +123,15 @@ def refuse_eigenvalues(ab_upper):
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(seed=st.integers(0, 2**32 - 1), bw=st.integers(1, 4), real=st.booleans(),
        n_phases=st.integers(1, 3), n_energies=st.integers(1, 6), extra=st.integers(0, 12))
+@example(seed=0, bw=1, real=True, n_phases=2, n_energies=1, extra=0)
+@example(seed=0, bw=1, real=False, n_phases=2, n_energies=1, extra=0)
 def test_counts_below_banded_match_eigenvalue_counts(seed, bw, real, n_phases, n_energies,
                                                      extra):
-    # b m <= n, so every stack is swept; half the energies are diagonal
-    # entries, the first of them row 0's, which makes an exact zero pivot
-    # (n >= 2: eig_banded returns 0 for any one-row band)
+    # b m <= n, so every stack is swept, one-row bands too; half the
+    # energies are diagonal entries, the first of them row 0's, which
+    # makes an exact zero pivot
     rng = np.random.default_rng(seed)
-    n = max(bw * n_energies + extra, 2)
+    n = bw * n_energies + extra
     bands = np.stack([banded_hermitian(rng, n, bw)[1] for _ in range(n_phases)])
     if real:
         bands = bands.real.copy()

@@ -75,6 +75,13 @@ def test_free_table_values():
     assert table.resolution() == 1.0 / (512 * 8)
 
 
+def test_one_site_table_counts_each_phase_potential():
+    # one site: a phase's truncation is its potential value 4 cos(2 pi x)
+    # alone, below 1 at two of the four phases
+    table = ids(almost_mathieu(2.0), [-5, 1, 5], n_sites=1, samples=4)
+    np.testing.assert_array_equal(table.values, [0, 0.5, 1])
+
+
 def test_table_validation():
     with pytest.raises(ArgumentError):
         IdsTable(np.array([1.0, 0.5]), np.array([0.0, 1.0]), 16, 1)

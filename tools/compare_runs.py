@@ -3,10 +3,11 @@
 Runs every operation of the three benchmark workloads once, at one seed,
 against the qplattice sources of a checkout, and saves what they leave:
 the CLI artifacts as written, and each library call's result, reduced to
-plain numbers and arrays and pickled.  It also runs the repository's
-``demos/*.py`` against the checkout and keeps what each prints.  A second
-command compares two such runs file by file and result by result, bit for
-bit.
+plain numbers and arrays and pickled.  It also runs the whole
+verification corpus once (``run_corpus()``) and keeps its manifest as one
+more library result, and runs the repository's ``demos/*.py`` against the
+checkout and keeps what each prints.  A second command compares two such
+runs file by file and result by result, bit for bit.
 
     python3 tools/compare_runs.py run --checkout PARENT --seed 1 --out runs/parent-1
     python3 tools/compare_runs.py run --checkout . --seed 1 --out runs/change-1
@@ -18,8 +19,11 @@ calls whatever the checkouts hold.  ``compare`` prints one line per item
 that differs or is missing, then a summary, and exits 1 if anything does.
 A JSON artifact whose bytes differ is compared field by field, and a CSV
 artifact column by column with its provenance footer as text, so the line
-names the field or column that moved and by how much.  A demo's output is
-compared as text, and the line names the first output line that differs.
+names the field or column that moved and by how much.  A library result
+that moved is named value by value, with the largest absolute and
+relative difference, so a stated tolerance can be read off the line.  A
+demo's output is compared as text, and the line names the first output
+line that differs.
 """
 
 import argparse
@@ -48,11 +52,25 @@ def plain(value):
     return value
 
 
+def outcome(call):
+    """What ``call()`` returns; a raising call is recorded as such."""
+    try:
+        return call()
+    except Exception as exc:
+        return {"raised": type(exc).__name__, "message": str(exc)}
+
+
+def save(path, result):
+    with open(path, "wb") as fh:
+        pickle.dump(plain(result), fh)
+
+
 def run(checkout, seed, out):
-    """Run every operation of the workloads once and every demo; CLI
-    artifacts land in ``out/<workload>/cmdNN/out``, library results in
-    ``out/<workload>/library/NN_<group>.pkl``, and what demo ``name.py``
-    prints in ``out/demos/name.txt``."""
+    """Run every operation of the workloads once, the verification corpus
+    and every demo; CLI artifacts land in ``out/<workload>/cmdNN/out``,
+    library results in ``out/<workload>/library/NN_<group>.pkl``, the
+    corpus manifest in ``out/corpus/run_corpus.pkl``, and what demo
+    ``name.py`` prints in ``out/demos/name.txt``."""
     src = (Path(checkout) / "src").resolve()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
@@ -68,16 +86,15 @@ def run(checkout, seed, out):
         library.mkdir(parents=True)
         session = Session(str(directory))
         for index, op in enumerate(build(name, seed, session)):
-            try:
-                result = op.call()
-            except Exception as exc:  # a raising operation is recorded as such
-                result = {"raised": type(exc).__name__, "message": str(exc)}
+            result = outcome(op.call)
             if op.cli:
                 if result != 0:
                     print("%s op %d (%s): exit code %s" % (name, index, op.group, result))
                 continue
-            with open(library / ("%02d_%s.pkl" % (index, op.group)), "wb") as fh:
-                pickle.dump(plain(result), fh)
+            save(library / ("%02d_%s.pkl" % (index, op.group)), result)
+
+    (Path(out) / "corpus").mkdir()
+    save(Path(out) / "corpus" / "run_corpus.pkl", outcome(qplattice.run_corpus))
 
     demos = Path(out) / "demos"
     demos.mkdir()
@@ -111,9 +128,21 @@ def differences(a, b, path="result"):
         return ["%s: %s%s vs %s%s" % (path, x.dtype, x.shape, y.dtype, y.shape)]
     if x.tobytes() == y.tobytes():
         return []
-    with np.errstate(invalid="ignore"):
-        gap = np.abs(x - y).max() if x.dtype.kind in "iufc" else "n/a"
-    return ["%s: not bitwise equal, largest difference %s" % (path, gap)]
+    if x.dtype.kind not in "iufc":
+        return ["%s: not bitwise equal" % path]
+    return ["%s: not bitwise equal, %s" % (path, largest_gaps(x, y))]
+
+
+def largest_gaps(x, y):
+    """The largest absolute and relative difference of two numeric arrays
+    of one shape; a cell that is nan in one array only is skipped."""
+    import numpy as np
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gap = np.abs(x - y).ravel()
+        relative = gap / np.maximum(np.abs(x), np.abs(y)).ravel()
+    return ("largest absolute difference %.3g, relative %.3g"
+            % (np.fmax.reduce(gap), np.fmax.reduce(relative)))
 
 
 def csv_differences(a, b):
@@ -144,12 +173,7 @@ def csv_differences(a, b):
         except ValueError:  # text cells, such as the error column
             problems.append(line)
             continue
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gap = np.abs(x - y)
-            relative = gap / np.maximum(np.abs(x), np.abs(y))
-        # fmax skips the nan of a cell that is nan in one run only
-        problems.append("%s, largest absolute difference %.3g, relative %.3g"
-                        % (line, np.fmax.reduce(gap), np.fmax.reduce(relative)))
+        problems.append("%s, %s" % (line, largest_gaps(x, y)))
     if footer_a != footer_b:
         problems.append("footer %s vs %s" % (footer_a, footer_b))
     return problems
