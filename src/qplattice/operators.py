@@ -293,10 +293,6 @@ class StripOperator:
         if np.linalg.cond(self.coupling) > 1e12:
             raise ArgumentError("coupling block is numerically singular")
 
-    def block(self, n):
-        """Potential block at strip site n."""
-        return np.asarray(self.potential(self.theta + n * self.alpha))
-
     def blocks(self, sites):
         phases = self.theta + np.asarray(sites) * self.alpha
         v = np.asarray(self.potential(phases))

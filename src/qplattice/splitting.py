@@ -28,6 +28,7 @@ from .linalg import (
 from .symplectic import form_defect, reverse_norm_constant
 from .cocycle import (
     _Segment,
+    _block_prefixes,
     _orbit_batches,
     _state_sweep,
     finite_window_rates,
@@ -96,8 +97,13 @@ def _carried_frames(cocycle, theta, n_window, n_steps, n_cols, seed):
         q = _Segment(cocycle, theta + cocycle.alpha
                      * np.arange(-n_window, length - n_window)).carry(q)
         n_window -= length
+    return _qr_walk(orbit_matrices(cocycle, theta + cocycle.alpha * np.arange(n_steps)), q)
+
+
+def _qr_walk(mats, q):
+    # The frame q and its images under the matrices in turn, one QR each.
     frames = [q]
-    for a in orbit_matrices(cocycle, theta + cocycle.alpha * np.arange(n_steps)):
+    for a in mats:
         frames.append(np.linalg.qr(a @ frames[-1])[0])
     return np.stack(frames)
 
@@ -404,39 +410,35 @@ def telescoping_check(form, family, v_start, lip, t, n_steps, samples=4):
         constant, the unperturbed growth constant, and the verdict.
     """
     v1 = orthonormal_columns(np.asarray(v_start, dtype=complex))
-    check_at = set(np.linspace(1, n_steps, min(samples, n_steps), dtype=int).tolist())
+    constant = reverse_norm_constant(form, v1)  # v_start is checked before any link
+    if n_steps < 1:
+        raise ArgumentError("the chain needs at least one link")
 
-    # One walk along the chain; per link the pairing and Lipschitz checks,
-    # the reverse-norm constant, the growth and the perturbed product.
-    frame = v1
-    constant = reverse_norm_constant(form, frame)
-    prefix = prod = np.eye(form.shape[0], dtype=complex)
-    log_pref = log_prod = 0.0
-    growth = 1.0
-    for j in range(1, n_steps + 1):
-        link = np.asarray(family(0.0, j), dtype=complex)
-        if form_defect(link, form) > 1e-8:
-            raise InvariantError("unperturbed link %d does not preserve the pairing" % j)
-        moved = np.asarray(family(t, j), dtype=complex)
-        if j in check_at:
-            drift = np.linalg.norm(moved - link, 2)
-            if drift > lip * abs(t) * (1 + 1e-9) + 1e-12:
-                raise ArgumentError(
-                    "link %d exceeds the declared Lipschitz bound: %.3e > %.3e"
-                    % (j, drift, lip * abs(t))
-                )
-        prefix = link @ prefix
-        scale = np.linalg.norm(prefix, 2)
-        log_pref += np.log(scale)
-        prefix = prefix / scale
-        growth = max(growth, float(np.exp(2.0 * (log_pref + np.log(restriction_norm(prefix, v1))))))
-        frame = orthonormal_columns(link @ frame)
-        constant = max(constant, reverse_norm_constant(form, frame))
-        prod = moved @ prod
-        scale = np.linalg.norm(prod, 2)
-        prod = prod / scale
-        log_prod += np.log(scale)
+    # Each link once at 0 and once at t; the first that breaks the pairing
+    # or, where spot-checked, the declared Lipschitz bound raises.
+    links = np.array([family(0.0, j) for j in range(1, n_steps + 1)], dtype=complex)
+    moved = np.array([family(t, j) for j in range(1, n_steps + 1)], dtype=complex)
+    broken = form_defect(links, form) > 1e-8
+    drift = np.zeros(n_steps)
+    check_at = np.linspace(1, n_steps, min(samples, n_steps), dtype=int) - 1
+    drift[check_at] = np.linalg.norm(moved[check_at] - links[check_at], 2, axis=(-2, -1))
+    faults = np.flatnonzero(broken | (drift > lip * abs(t) * (1 + 1e-9) + 1e-12))
+    if len(faults) and broken[faults[0]]:
+        raise InvariantError("unperturbed link %d does not preserve the pairing" % (faults[0] + 1))
+    if len(faults):
+        raise ArgumentError("link %d exceeds the declared Lipschitz bound: %.3e > %.3e"
+                            % (faults[0] + 1, drift[faults[0]], lip * abs(t)))
 
+    # Both chains' running products, 2**expo * prefix; the growth is the
+    # largest squared restricted norm of the unperturbed ones.
+    prefix, expo = _block_prefixes(np.stack([links, moved], axis=1), n_steps)
+    log_reach = (np.log(np.linalg.norm(prefix[:, 0] @ v1, 2, axis=(-2, -1)))
+                 + expo[:, 0] * np.log(2.0))
+    growth = max(1.0, float(np.exp(2.0 * log_reach.max())))
+    frames = _qr_walk(links, v1)[1:]
+    constant = max(constant, float(reverse_norm_constant(form, frames).max()))
+
+    prod, log_prod = prefix[-1, 1], expo[-1, 1] * np.log(2.0)
     log_norm = log_prod + np.log(restriction_norm(prod, v1))
     image = orthonormal_columns(prod @ v1)
     log_inverse = -log_prod + np.log(restriction_norm(np.linalg.inv(prod), image))
@@ -518,35 +520,42 @@ def center_variation_check(strip, energy, theta=0.0,
     while checkpoints[-1] < n_max:
         checkpoints.append(min(2 * checkpoints[-1], n_max))
 
-    def frames_and_projector(s):
-        joint = np.hstack([s.center, s.unstable, s.stable])
-        if np.linalg.cond(joint) > PROJECTION_COND_MAX:
-            raise ConvergenceError("projection ill-conditioned at phase %.6f" % s.theta)
-        proj = joint[:, :d_c] @ np.linalg.inv(joint)[:d_c, :]
-        return s.center, proj
+    def frames_and_projector(phases, fast, center, slow):
+        # Neutral frames and the projectors onto them along the others.
+        joint = np.concatenate([center, fast, slow], axis=-1)
+        bad = np.flatnonzero(np.linalg.cond(joint) > PROJECTION_COND_MAX)
+        if len(bad):
+            raise ConvergenceError("projection ill-conditioned at phase %.6f" % phases[bad[0]])
+        return center, joint[..., :d_c] @ np.linalg.inv(joint)[..., :d_c, :]
 
-    def station(phase):
-        return frames_and_projector(compute_splitting(base, phase, dims))
-
-    stations = {0: frames_and_projector(splitting)}
-    for n in checkpoints:
-        stations[n] = station(theta + n * alpha)
+    # The stations at theta and at the checkpoints come from one sweep over
+    # twice the splitting's window, so the zero-shift comparison does not
+    # read the frames of the envelope's own sweep.
+    at = np.array([0] + checkpoints)
+    swept = _frames_along(base, theta, dims, 2 * splitting.window, checkpoints[-1])
+    qc, proj = frames_and_projector(theta + at * alpha, *(f[at] for f in swept))
+    stations = dict(zip(at.tolist(), zip(qc, proj)))
     envelope = center_growth(base, splitting, checkpoints[-1])
 
-    # The Lipschitz probe's real-energy frames do not depend on eps.
+    # The Lipschitz probes' real-energy frames do not depend on eps; one
+    # sweep per probe gives its frame and the next phase's projector.
     phases_lip = theta + alpha * (np.arange(8) + 0.5) / 8.0
     if any(eps_grid):
-        lip_frames = [(station(phase + alpha), station(phase)[0]) for phase in phases_lip]
+        fast, center, slow = (np.stack(f) for f in zip(*(
+            _frames_along(base, phase, dims, splitting.window, 1) for phase in phases_lip)))
+        qc_a, proj_a = frames_and_projector(phases_lip + alpha,
+                                            fast[:, 1], center[:, 1], slow[:, 1])
+        qc_b = center[:, 0]
 
     growth = {}
     records = []
     lipschitz = {}
-    qc0, _ = stations[0]
+    qc0, proj0 = stations[0]
 
     for eps in eps_grid:
         shifted = transfer_cocycle(strip, energy + 1j * eps) if eps else base
         split_eps = compute_splitting(shifted, theta, dims) if eps else splitting
-        p_mat = qc0.conj().T @ stations[0][1] @ split_eps.center
+        p_mat = qc0.conj().T @ proj0 @ split_eps.center
         if np.linalg.cond(p_mat) > PROJECTION_COND_MAX:
             raise ConvergenceError("projection ill-conditioned at the base phase")
         p_inv = np.linalg.inv(p_mat)
@@ -570,14 +579,9 @@ def center_variation_check(strip, energy, theta=0.0,
         else:
             for n, val in values.items():
                 records.append((val, envelope[n], eps, n))
-            drifts = []
-            for ((qc_a, proj_a), qc_b), step_shift, step_base in zip(
-                lip_frames, shifted.matrices(phases_lip), base.matrices(phases_lip)
-            ):
-                a_shift = qc_a.conj().T @ proj_a @ step_shift @ qc_b
-                a_base = qc_a.conj().T @ step_base @ qc_b
-                drifts.append(np.linalg.norm(a_shift - a_base, 2) / eps)
-            lipschitz[eps] = float(max(drifts))
+            a_shift = qc_a.conj().swapaxes(-2, -1) @ proj_a @ shifted.matrices(phases_lip) @ qc_b
+            a_base = qc_a.conj().swapaxes(-2, -1) @ base.matrices(phases_lip) @ qc_b
+            lipschitz[eps] = float(np.linalg.norm(a_shift - a_base, 2, axis=(-2, -1)).max() / eps)
 
     c_growth = _fit_growth_constant(records) if records else 1.0
     window = [v for e, v in lipschitz.items() if 1e-5 <= e <= 1e-3]

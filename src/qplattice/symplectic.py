@@ -57,10 +57,11 @@ def form_value(s, x, y):
 
 
 def form_defect(a, s):
-    """Relative defect ``||A* S A - S|| / ||S||`` of form preservation."""
+    """Relative defect ``||A* S A - S|| / ||S||`` of form preservation (of each in a stack)."""
     a = np.asarray(a)
-    return float(np.linalg.norm(a.conj().T @ s @ a - s, 2)
-                 / np.linalg.norm(s, 2))
+    defect = (np.linalg.norm(a.conj().swapaxes(-2, -1) @ s @ a - s, 2, axis=(-2, -1))
+              / np.linalg.norm(s, 2))
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def preserves_form(a, s, tol=1e-12):
@@ -86,20 +87,20 @@ def wronskian(coupling, x_state, y_state):
 
 
 def krein_matrix(s, frame):
-    """Hermitian matrix ``i * (frame* S frame)`` of pairings of a frame."""
+    """Hermitian matrix ``i * (frame* S frame)`` of pairings of a frame (of each in a stack)."""
     frame = np.atleast_2d(np.asarray(frame))
-    g = 1j * (frame.conj().T @ s @ frame)
-    return 0.5 * (g + g.conj().T)
+    g = 1j * (frame.conj().swapaxes(-2, -1) @ s @ frame)
+    return 0.5 * (g + g.conj().swapaxes(-2, -1))
 
 
 def _nondegenerate_eigh(g):
-    # Eigendecomposition of the Hermitian g; an eigenvalue within
-    # DEGENERACY_TOL of the largest in modulus raises.
+    # Eigendecomposition of the Hermitian g, or of each in a stack; an
+    # eigenvalue within DEGENERACY_TOL of its matrix's largest in modulus raises.
     eig, vec = np.linalg.eigh(g)
-    scale = max(np.abs(eig).max(), 1e-300)
-    if np.any(np.abs(eig) <= DEGENERACY_TOL * scale):
-        raise InvariantError("degenerate restricted pairing (|eig| <= %.1e)"
-                             % (DEGENERACY_TOL * scale))
+    floor = DEGENERACY_TOL * np.maximum(np.abs(eig).max(axis=-1, keepdims=True), 1e-300)
+    bad = (np.abs(eig) <= floor).any(axis=-1)
+    if bad.any():
+        raise InvariantError("degenerate restricted pairing (|eig| <= %.1e)" % floor[bad][0, 0])
     return eig, vec
 
 
@@ -118,7 +119,7 @@ def signature(g):
 
 
 def canonical_basis(s, frame):
-    """Canonically paired basis of the span of ``frame``.
+    """Canonically paired basis of the span of ``frame`` (of each in a stack).
 
     Requires the restriction of the pairing to the span to be nondegenerate
     with balanced inertia (p = q = k).  Returns ``(xi, p)`` where the
@@ -127,40 +128,38 @@ def canonical_basis(s, frame):
     Krein matrix of ``xi`` is ``[[0, iI], [-iI, 0]]``.
     """
     q = orthonormal_columns(np.atleast_2d(np.asarray(frame, dtype=complex)))
-    dim = q.shape[1]
+    dim = q.shape[-1]
     if dim == 0:
         return q.copy(), 0
     if dim % 2:
         raise InvariantError("paired basis needs an even-dimensional span")
     eig, vec = _nondegenerate_eigh(krein_matrix(s, q))
-    p = int(np.sum(eig > 0))
-    if 2 * p != dim:
+    p = np.sum(eig > 0, axis=-1).ravel()
+    if np.any(2 * p != dim):
         raise InvariantError("restriction has nonzero signature (p=%d of %d)"
-                             % (p, dim))
-    # order positive eigenvalues first and normalize to diag(I, -I)
-    order = np.argsort(-eig)
-    n = vec[:, order] / np.sqrt(np.abs(eig[order]))
-    k = p
+                             % (p[2 * p != dim][0], dim))
+    # normalize to diag(I, -I) and order positive eigenvalues first
+    order = np.argsort(-eig, axis=-1)[..., None, :]
+    n = np.take_along_axis(vec / np.sqrt(np.abs(eig))[..., None, :], order, axis=-1)
+    k = dim // 2
     eye = np.eye(k)
     m0 = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / np.sqrt(2.0)
     xi = q @ (n @ m0)
-    return xi, p
+    return xi, k
 
 
 def reverse_norm_constant(s, frame):
-    """Norm-reversal constant of a nondegenerate balanced subspace.
+    """Norm-reversal constant of a nondegenerate balanced subspace (of each in a stack).
 
     ``c(V) = ||S|| * sum_i ||xi_i|| ||xi_{i^*}||`` over the canonical basis,
     where ``i^*`` is the canonical partner index.  With balanced inertia the
     partner of ``i`` is ``i + k`` (and back), so the sum is symmetric.
     """
-    xi, p = canonical_basis(s, frame)
-    if xi.shape[1] == 0:
-        return 1.0
-    k = xi.shape[1] // 2
-    norms = np.linalg.norm(xi, axis=0)
-    paired = float(np.sum(norms[:k] * norms[k:]) + np.sum(norms[k:] * norms[:k]))
-    return float(np.linalg.norm(s, 2)) * paired
+    xi, k = canonical_basis(s, frame)
+    norms = np.linalg.norm(xi, axis=-2)
+    paired = 2.0 * np.sum(norms[..., :k] * norms[..., k:], axis=-1)
+    constant = float(np.linalg.norm(s, 2)) * paired if k else np.ones(xi.shape[:-2])
+    return float(constant) if constant.ndim == 0 else constant
 
 
 def reverse_norm_check(s, a, frame):

@@ -16,8 +16,19 @@ from qplattice.operators import (
     Potential,
     fold_to_strip,
 )
-from qplattice.linalg import ConvergenceError, orthonormal_columns
-from qplattice.symplectic import pairing_matrix, wronskian
+from qplattice.linalg import (
+    ArgumentError,
+    ConvergenceError,
+    InvariantError,
+    orthonormal_columns,
+    restriction_norm,
+)
+from qplattice.symplectic import (
+    form_defect,
+    pairing_matrix,
+    reverse_norm_constant,
+    wronskian,
+)
 
 
 def random_phase(rng, lo=0.15, hi=1.2):
@@ -197,6 +208,58 @@ def reference_center_growth(c, split, n_max):
             raise ConvergenceError("neutral restricted growth overflowed at step %d" % n)
         out[n] = max(out[n - 1], float(np.exp(2.0 * log_norm)))
     return out
+
+
+def reference_telescoping(form, family, v_start, lip, t, n_steps, samples=4):
+    """The `splitting.telescoping_check` report from one walk along the
+    chain: per link the pairing and Lipschitz checks, the reverse-norm
+    constant of the frame carried by one QR, and both running products
+    rescaled by their 2-norms."""
+    v1 = orthonormal_columns(np.asarray(v_start, dtype=complex))
+    check_at = set(np.linspace(1, n_steps, min(samples, n_steps), dtype=int).tolist())
+    frame = v1
+    constant = reverse_norm_constant(form, frame)
+    prefix = prod = np.eye(form.shape[0], dtype=complex)
+    log_pref = log_prod = 0.0
+    growth = 1.0
+    for j in range(1, n_steps + 1):
+        link = np.asarray(family(0.0, j), dtype=complex)
+        if form_defect(link, form) > 1e-8:
+            raise InvariantError("unperturbed link %d does not preserve the pairing" % j)
+        moved = np.asarray(family(t, j), dtype=complex)
+        if j in check_at:
+            drift = np.linalg.norm(moved - link, 2)
+            if drift > lip * abs(t) * (1 + 1e-9) + 1e-12:
+                raise ArgumentError(
+                    "link %d exceeds the declared Lipschitz bound: %.3e > %.3e"
+                    % (j, drift, lip * abs(t))
+                )
+        prefix = link @ prefix
+        scale = np.linalg.norm(prefix, 2)
+        log_pref += np.log(scale)
+        prefix = prefix / scale
+        growth = max(growth, float(np.exp(2.0 * (log_pref + np.log(restriction_norm(prefix, v1))))))
+        frame = orthonormal_columns(link @ frame)
+        constant = max(constant, reverse_norm_constant(form, frame))
+        prod = moved @ prod
+        scale = np.linalg.norm(prod, 2)
+        prod = prod / scale
+        log_prod += np.log(scale)
+
+    log_norm = log_prod + np.log(restriction_norm(prod, v1))
+    image = orthonormal_columns(prod @ v1)
+    log_inverse = -log_prod + np.log(restriction_norm(np.linalg.inv(prod), image))
+    log_bound = (
+        np.log(constant) + np.log(growth) + constant * growth * lip * abs(t) * n_steps
+    )
+    return splitting.TelescopingReport(
+        norm=float(np.exp(log_norm)),
+        inverse_norm=float(np.exp(log_inverse)),
+        bound=float(np.exp(min(log_bound, 700.0))),
+        constant=float(constant),
+        growth=float(growth),
+        ok=bool(log_norm <= log_bound + 1e-9 and log_inverse <= log_bound + 1e-9),
+    )
 
 
 def reference_wronskian_drift(strip, energy, theta, x0, y0, n_steps):

@@ -5,6 +5,7 @@ import pickle
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_runs.py"
 spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
@@ -118,3 +119,19 @@ def test_library_results_name_their_largest_relative_difference(tmp_path, capsys
     ]
     assert compare_runs.differences(np.array([1.0, np.nan]), np.array([1.0 + 1e-12, 2.0])) == [
         "result: not bitwise equal, largest absolute difference 1e-12, relative 1e-12"]
+
+
+def test_compare_refuses_a_missing_or_empty_run(tmp_path, capsys):
+    run = make_run(tmp_path / "run", "E,L1\n0.5,1.25\n", {"exponents": [1.25]})
+    (tmp_path / "empty" / "demos").mkdir(parents=True)
+    (tmp_path / "empty" / "config.json").write_text("{}")
+    for first, second, message in (
+        (tmp_path / "nowhere", run, "%s does not exist" % (tmp_path / "nowhere")),
+        (run, tmp_path / "empty", "%s holds no CLI artifact, library result or demo output"
+         % (tmp_path / "empty")),
+    ):
+        with pytest.raises(SystemExit) as refused:
+            compare_runs.main(["compare", str(first), str(second)])
+        # a message as the exit code: printed to stderr, exit status 1
+        assert refused.value.code == "compare: " + message
+    assert capsys.readouterr().out == ""

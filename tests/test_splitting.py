@@ -7,13 +7,14 @@ import pytest
 from scipy.linalg import expm, null_space
 
 from conftest import random_form_preserving, random_hermitian, random_line, random_strip, \
-    reference_frames_along, reference_growth_constant
+    reference_frames_along, reference_growth_constant, reference_telescoping
 from qplattice.cocycle import transfer_cocycle
 from qplattice.corpus import spectrum_sample
 from qplattice.linalg import ArgumentError, ConvergenceError, InvariantError, \
     eigenvalues_banded, orthonormal_columns, principal_angles
 from qplattice.operators import GOLDEN_MEAN, StripOperator, almost_mathieu, \
     fold_to_strip, free_laplacian
+from qplattice import splitting
 from qplattice.splitting import (
     DEFAULT_WINDOW,
     INVARIANCE_TOL,
@@ -428,6 +429,71 @@ def test_telescoping_input_validation():
     with pytest.raises(InvariantError):
         telescoping_check(form, lambda t, j: rotation(0.1),
                           np.array([[1.0], [0.0]]), lip=1.0, t=0.0, n_steps=2)
+    with pytest.raises(ArgumentError, match="at least one link"):
+        telescoping_check(form, family, np.eye(2), lip=1.0, t=0.1, n_steps=0)
+
+
+def test_telescoping_matches_the_per_link_walk():
+    # the stacked links, product scan and frame constants against the walk
+    # they replaced, on the first chains test_10 draws (m = 1 and 2, whole
+    # space) and on chains of complex links on a proper balanced subspace
+    def chains():
+        rng = np.random.default_rng(99)
+        for _ in range(4):
+            m = int(rng.integers(1, 3))
+            s = pairing_matrix(np.eye(m))
+            n = int(rng.integers(50, 1001))
+            t = float(rng.uniform(0.002, 0.01))
+            bases = [np.linalg.solve(s, 0.9 / np.sqrt(n) * random_hermitian(rng, 2 * m))
+                     for _ in range(n)]
+            gens = [np.linalg.solve(s, 0.5 / np.sqrt(n) * random_hermitian(rng, 2 * m))
+                    for _ in range(n)]
+            lip = 1.05 * max(np.linalg.norm(g, 2) * np.exp(np.linalg.norm(b, 2)
+                                                          + t * np.linalg.norm(g, 2))
+                             for b, g in zip(bases, gens))
+            yield s, np.eye(2 * m), bases, gens, lip, t
+        rng = np.random.default_rng(67)
+        for m in (1, 2):
+            s = pairing_matrix(np.eye(m) + 0.3j * random_hermitian(rng, m))
+            bases = [np.linalg.solve(s, 0.2 * random_hermitian(rng, 2 * m)) for _ in range(80)]
+            gens = [np.linalg.solve(s, 0.3 * random_hermitian(rng, 2 * m)) for _ in range(80)]
+            lip = 1.05 * max(np.linalg.norm(g, 2) * np.exp(np.linalg.norm(b, 2)
+                                                          + 0.01 * np.linalg.norm(g, 2))
+                             for b, g in zip(bases, gens))
+            v = np.eye(2 * m)[:, [0, m]] + 0.2j * rng.standard_normal((2 * m, 2))
+            yield s, v, bases, gens, lip, 0.01
+
+    for s, v, bases, gens, lip, t in chains():
+        links = {}
+
+        def family(tt, j):
+            if (tt, j) not in links:
+                links[tt, j] = expm(bases[j - 1] + tt * gens[j - 1])
+            return links[tt, j]
+
+        n = len(bases)
+        report = telescoping_check(s, family, v, lip, t, n, samples=6)
+        reference = reference_telescoping(s, family, v, lip, t, n, samples=6)
+        assert report.ok and report.constant == reference.constant
+        for name, rel in (("norm", 1e-12), ("inverse_norm", 1e-12),
+                          ("growth", 1e-12), ("bound", 1e-10)):
+            assert getattr(report, name) == pytest.approx(getattr(reference, name), rel=rel)
+
+
+def test_telescoping_raises_for_the_first_faulty_link():
+    # two faulty links in one chain: whichever comes first along the chain
+    # raises, as in the per-link walk; on one link the pairing comes first
+    form = pairing_matrix(np.eye(1))
+    for skewed, drifting, error, first in ((7, 3, ArgumentError, 3),
+                                           (2, 3, InvariantError, 2),
+                                           (4, 4, InvariantError, 4)):
+        def family(t, j):
+            link = rotation(0.1 * j) * (2.0 if j == skewed else 1.0)
+            return link + (t * np.ones((2, 2)) if j == drifting else 0.0)
+
+        for check in (telescoping_check, reference_telescoping):
+            with pytest.raises(error, match="link %d " % first):
+                check(form, family, np.eye(2), lip=1e-3, t=0.5, n_steps=8, samples=8)
 
 
 # ── neutral variation under complex energy ───────────────────────────────────
@@ -463,14 +529,14 @@ def test_center_variation_growth_constant_ignores_grid_order(growth_fits):
 
 
 def test_center_variation_converges_each_splitting_once(rate_windows, growth_fits):
-    # the detected splitting is station 0 and feeds the envelope; the 16
-    # Lipschitz-probe splittings are converged once, not once per eps:
-    # 1 detected + 9 checkpoints + 16 probe + 2 shifted
+    # the detected splitting feeds the envelope; the stations and the
+    # Lipschitz probes are read off sweeps, which converge no rate window:
+    # 1 detected + 2 shifted
     op = almost_mathieu(0.5)
     report = center_variation_check(fold_to_strip(op), spectrum_sample(op, 8)[4],
                                     eps_grid=(0.0, 1e-4, 1e-3), n_max=256)
     assert report.checkpoints == (1, 2, 4, 8, 16, 32, 64, 128, 256)
-    assert len(rate_windows) == 28
+    assert len(rate_windows) == 3
     assert len(growth_fits) == 1
 
 
@@ -484,13 +550,32 @@ def test_center_variation_on_mixed_splitting(converged_frames, growth_fits):
                                     n_max=256)
     assert report.dims == (1, 2, 1)
     # 4 + 4 frames for detect_splitting (its (2, 0, 2) candidate converges
-    # frames before failing the invariance check), 4 per splitting at the 9
-    # checkpoints, the 16 Lipschitz probes and the 2 shifted energies, and
-    # one sweep each way for the envelope and for each eps
-    assert len(converged_frames) == 124
+    # frames before failing the invariance check), 4 per splitting at the 2
+    # shifted energies, and one sweep each way for the stations, for each
+    # of the 8 Lipschitz probes, for the envelope and for each eps
+    assert len(converged_frames) == 42
     assert report.c_growth < 1.0
     assert len(growth_fits) == 1
     assert report.lipschitz_stable
+
+
+def test_center_variation_rejects_tilted_stations(monkeypatch):
+    # station frames tilted by 1e-3 toward the expanding direction must
+    # break the zero-shift comparison with the restricted envelope
+    real = splitting._frames_along
+
+    def tilted(c, theta, dims, n_window, n_steps=0):
+        fast, center, slow = real(c, theta, dims, n_window, n_steps)
+        if n_window == 2 * DEFAULT_WINDOW:
+            center = center.copy()
+            center[..., 0] += 1e-3 * fast[..., 0]
+            center = orthonormal_columns(center)
+        return fast, center, slow
+
+    monkeypatch.setattr(splitting, "_frames_along", tilted)
+    strip, energy = mixed_strip()
+    with pytest.raises(InvariantError, match="zero-shift projected growth disagrees"):
+        center_variation_check(strip, energy, eps_grid=(0.0, 1e-4, 1e-3), n_max=256)
 
 
 def test_growth_constant_matches_the_bisection():

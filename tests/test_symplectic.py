@@ -129,6 +129,50 @@ def test_reverse_norm_constant_scalar_coupling():
     assert reverse_norm_constant(s, np.eye(2)) == pytest.approx(2.0)
 
 
+def test_stacked_evaluators_equal_their_per_frame_values():
+    # frames on the last two axes: each entry bit for bit the single-frame
+    # value, and a single frame keeps its scalar return types
+    rng = np.random.default_rng(40)
+    c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    s = pairing_matrix(c)
+    maps = np.stack([random_form_preserving(rng, c) for _ in range(12)])
+    for v in (np.eye(4), np.eye(4)[:, [0, 2]]):
+        frames = np.linalg.qr(maps @ v)[0]
+        defects = form_defect(maps, s)
+        krein = krein_matrix(s, frames)
+        xi, p = canonical_basis(s, frames)
+        constants = reverse_norm_constant(s, frames)
+        assert defects.shape == constants.shape == (12,)
+        for k in range(12):
+            single = form_defect(maps[k], s)
+            assert type(single) is float and defects[k] == single
+            assert np.array_equal(krein[k], krein_matrix(s, frames[k]))
+            xi_k, p_k = canonical_basis(s, frames[k])
+            assert np.array_equal(xi[k], xi_k) and p == p_k == v.shape[1] // 2
+            single = reverse_norm_constant(s, frames[k])
+            assert type(single) is float and constants[k] == single
+
+
+def test_stacked_evaluators_raise_for_a_bad_frame():
+    # one frame of a stack whose restricted pairing is degenerate, or has
+    # nonzero signature, raises as it does alone
+    s = pairing_matrix(np.eye(2))
+    rng = np.random.default_rng(41)
+    frames = np.linalg.qr(np.stack([random_form_preserving(rng, np.eye(2), scale=0.3)
+                                    for _ in range(5)]) @ np.eye(4)[:, [0, 2]])[0]
+    isotropic = np.eye(4)[:, :2]  # span(e1, e2): the pairing vanishes on it
+    definite = np.array([[1, 0], [0, 1], [1j, 0], [0, 1j]]) / np.sqrt(2.0)  # p = 2
+    for bad, message in ((isotropic, "degenerate"), (definite, "nonzero signature")):
+        stack = frames.copy()
+        stack[3] = bad
+        for evaluator in (canonical_basis, reverse_norm_constant):
+            with pytest.raises(InvariantError, match=message):
+                evaluator(s, stack)
+            with pytest.raises(InvariantError, match=message):
+                evaluator(s, bad)
+        reverse_norm_constant(s, np.delete(stack, 3, axis=0))
+
+
 def test_reverse_norm_check_on_form_preserving_maps():
     rng = np.random.default_rng(38)
     c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

@@ -16,7 +16,9 @@ runs file by file and result by result, bit for bit.
 The operation lists come from ``perfbench/workloads.py`` of the repository
 this script lives in, imported read-only, so both runs make the same
 calls whatever the checkouts hold.  ``compare`` prints one line per item
-that differs or is missing, then a summary, and exits 1 if anything does.
+that differs or is missing, then a summary, and exits 1 if anything does;
+it refuses, with exit status 1, a run directory that is missing or holds
+no item.
 A JSON artifact whose bytes differ is compared field by field, and a CSV
 artifact column by column with its provenance footer as text, so the line
 names the field or column that moved and by how much.  A library result
@@ -201,11 +203,18 @@ def item_kind(item):
 
 def compare(first, second):
     """Print what differs between two runs; return the number of items
-    (files, results and demo outputs) that differ or exist in one run only."""
+    (files, results and demo outputs) that differ or exist in one run only.
+    A missing run directory, or one that holds no item, exits with an
+    error: there is nothing to compare."""
     first, second = Path(first), Path(second)
-    items = sorted({p.relative_to(root) for root in (first, second)
-                    for p in root.rglob("*") if p.is_file()
-                    and item_kind(p.relative_to(root))})
+    runs = [{p.relative_to(root) for p in root.rglob("*")
+             if p.is_file() and item_kind(p.relative_to(root))} for root in (first, second)]
+    for root, run_items in zip((first, second), runs):
+        if not run_items:
+            raise SystemExit("compare: %s %s" % (root, "holds no CLI artifact, library result "
+                                                 "or demo output" if root.is_dir()
+                                                 else "does not exist"))
+    items = sorted(runs[0] | runs[1])
     counts = {"artifact": [0, 0], "result": [0, 0], "demo": [0, 0]}
     for item in items:
         kind = item_kind(item)
