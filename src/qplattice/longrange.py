@@ -157,16 +157,17 @@ def subordinacy_probe(op, energy, u, phi=None, r_grid=(256, 512, 1024, 2048, 409
     Raises
     ------
     ArgumentError
-        If u fails the solution-residual test or phi is orthogonal to u.
+        If the grid is empty or holds a radius below one, u fails the
+        solution-residual test or phi is orthogonal to u.
     InvariantError
         If the solve identity or an envelope fails.
     """
     u, first = _window_first(u, first_site)
     r_grid = tuple(int(r) for r in sorted(r_grid))
-    r_max = max(r_grid)
+    if not r_grid or r_grid[0] < 1:
+        raise ArgumentError("need one or more radii, each at least one")
+    r_max = r_grid[-1]
     k = op.hopping.range
-    if min(r_grid) < 1:
-        raise ArgumentError("radii must be at least one")
     if np.max(np.abs(u)) > 1.0 + 1e-12:
         raise ArgumentError("candidate solution must have sup norm at most one")
     if -(2 * r_max + k) < first or 2 * r_max + k >= first + u.size:
@@ -288,10 +289,12 @@ def solution_growth(u, r_grid, alpha, first_site=None):
 
     The minimum over the grid estimates the subordinacy-scale constant;
     the trend flag reports whether the scaled masses grow, settle, or
-    die out as the radius increases.
+    die out as the radius increases over a nonempty grid of radii >= 1.
     """
     u, first = _window_first(u, first_site)
     r_grid = tuple(int(r) for r in sorted(r_grid))
+    if not r_grid or r_grid[0] < 1:
+        raise ArgumentError("need one or more radii, each at least one")
     if -r_grid[-1] < first or r_grid[-1] >= first + u.size:
         raise ArgumentError("window too short for radius %d" % r_grid[-1])
     center = -first

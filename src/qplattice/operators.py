@@ -12,7 +12,7 @@ block-tridiagonal form.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -281,14 +281,12 @@ class StripOperator:
     potential: object  # callable phase -> Hermitian block
     alpha: float
     theta: float = 0.0
-    width: int = field(default=0)
+    width = property(lambda self: self.coupling.shape[0])  # block size m
 
     def __post_init__(self):
         self.coupling = np.asarray(self.coupling, dtype=complex)
         if self.coupling.ndim != 2 or self.coupling.shape[0] != self.coupling.shape[1]:
             raise ArgumentError("coupling must be square")
-        if self.width == 0:
-            self.width = self.coupling.shape[0]
         # fail early on singular coupling: the transfer formalism needs C^{-1}
         if np.linalg.cond(self.coupling) > 1e12:
             raise ArgumentError("coupling block is numerically singular")

@@ -286,11 +286,12 @@ def critical_set_test(splitting, floor=1e-2):
 # ── restricted growth along the neutral frame ────────────────────────────────
 
 
-def _neutral_steps(cocycle, splitting, n_max):
-    """Yield ``(steps, q, log_scale, rprod)`` per batch of the orbit for
-    the steps n = 1 .. n_max of the splitting's neutral frame: stacks over
-    the batch's steps, with ``exp(log_scale[k]) * q[k] @ rprod[k]`` the
-    ``steps[k]``-step product on that frame.
+def _neutral_products(cocycle, splitting, n_max):
+    """The restricted products on the splitting's neutral frame as arrays
+    over the steps n = 0 .. n_max: the swept neutral frames ``q``,
+    ``log_scale`` and ``rprod``, with ``exp(log_scale[n]) * q[n] @ rprod[n]``
+    the n-step product on the frame; step 0 is the splitting's center,
+    0 and the identity, so each index is its step.
 
     The frame is not carried: each step maps the neutral frame at one
     phase onto the one swept at the next and keeps the restricted step
@@ -298,38 +299,45 @@ def _neutral_steps(cocycle, splitting, n_max):
     enters the product to be amplified at the top rate, so no rebasing
     onto fresh frames is needed; what the image leaves outside the next
     frame is checked against the invariance tolerance instead, and the
-    first step that fails raises before its batch is yielded.  The
-    restricted steps of a batch (`cocycle._orbit_batches`) are stacked,
-    and `cocycle._state_sweep` carries the columns of the identity across
-    them: ``log_scale`` is the largest column log and ``rprod`` the
-    columns rescaled to it.  A non-finite step, or a column the product
-    maps to zero, raises the sweep's ``ConvergenceError``.
+    first step that fails raises before any product is formed.  The
+    restricted steps, stacked per batch of the orbit, are carried as the
+    columns of the identity on `cocycle._state_sweep`: ``log_scale`` is
+    the largest column log and ``rprod`` the columns rescaled to it.  A
+    non-finite step, or a column the product maps to zero, raises the
+    sweep's ``ConvergenceError``.
     """
-    theta = splitting.theta
-    _, centers, _ = _frames_along(cocycle, theta, splitting.dims, splitting.window, n_max)
-    centers[0] = splitting.center
+    eye = np.eye(splitting.dims[1])
+    _, q, _ = _frames_along(cocycle, splitting.theta, splitting.dims, splitting.window, n_max)
+    q[0] = splitting.center
+    restricted, first = [], 1
+    for mats in _orbit_batches(cocycle, splitting.theta + cocycle.alpha * np.arange(n_max)):
+        images = mats @ q[first - 1:first + len(mats) - 1]
+        to = q[first:first + len(mats)]
+        step = to.conj().swapaxes(-2, -1) @ images
+        off = np.flatnonzero(np.linalg.norm(images - to @ step, axis=(-2, -1))
+                             > INVARIANCE_TOL * np.linalg.norm(images, axis=(-2, -1)))
+        if len(off):
+            raise ConvergenceError("neutral frame not invariant at step %d" % (first + off[0]))
+        restricted.append(step[:, None])
+        first += len(mats)
 
-    def restricted_steps():
-        first = 1
-        for mats in _orbit_batches(cocycle, theta + cocycle.alpha * np.arange(n_max)):
-            q = centers[first:first + len(mats)]
-            images = mats @ centers[first - 1:first + len(mats) - 1]
-            restricted = q.conj().swapaxes(-2, -1) @ images
-            off = np.flatnonzero(np.linalg.norm(images - q @ restricted, axis=(-2, -1))
-                                 > INVARIANCE_TOL * np.linalg.norm(images, axis=(-2, -1)))
-            if len(off):
-                raise ConvergenceError("neutral frame not invariant at step %d"
-                                       % (first + off[0]))
-            first += len(mats)
-            yield restricted[:, None]
+    log_scale, rprod = [np.zeros(1)], [eye[None]]
+    for states, logs in _state_sweep(restricted, eye):
+        log_scale.append(logs.max(axis=-1))
+        rprod.append(states.swapaxes(-2, -1) * np.exp(logs - log_scale[-1][:, None])[:, None])
+    return q, np.concatenate(log_scale), np.concatenate(rprod)
 
-    first = 1
-    for states, logs in _state_sweep(restricted_steps(), np.eye(splitting.dims[1])):
-        steps = np.arange(first, first + len(states))
-        log_scale = logs.max(axis=-1)
-        rprod = states.swapaxes(-2, -1) * np.exp(logs - log_scale[:, None])[:, None]
-        yield steps, centers[steps], log_scale, rprod
-        first += len(states)
+
+def _restricted_growth(log_scale, rprod):
+    # Squared restricted norms of the products and their running maximum;
+    # a norm past e^350 raises at its step.
+    log_norm = log_scale + np.log(np.linalg.norm(rprod, 2, axis=(-2, -1)))
+    over = np.flatnonzero(log_norm > 350.0)
+    if len(over):
+        raise ConvergenceError("neutral restricted growth overflowed at step %d; "
+                               "the certificates were unreliable" % over[0])
+    norms = np.exp(2.0 * log_norm)
+    return norms, np.maximum.accumulate(norms)
 
 
 def center_growth(cocycle, splitting, n_max):
@@ -346,25 +354,17 @@ def center_growth(cocycle, splitting, n_max):
     Raises
     ------
     ArgumentError
-        If the splitting has no neutral directions.
+        If the splitting has no neutral directions, or ``n_max`` is
+        negative.
     ConvergenceError
         If the restricted product degenerates or overflows, or a step
         leaves the neutral frame.
     """
     if splitting.dims[1] == 0:
         raise ArgumentError("splitting has no neutral directions")
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
-    for steps, _, log_scale, rprod in _neutral_steps(cocycle, splitting, n_max):
-        log_norm = log_scale + np.log(np.linalg.norm(rprod, 2, axis=(-2, -1)))
-        over = np.flatnonzero(log_norm > 350.0)
-        if len(over):
-            raise ConvergenceError(
-                "neutral restricted growth overflowed at step %d; "
-                "the certificates were unreliable" % steps[over[0]]
-            )
-        out[steps] = np.exp(2.0 * log_norm)
-    return np.maximum.accumulate(out)
+    if n_max < 0:
+        raise ArgumentError("n_max must be non-negative, got %d" % n_max)
+    return _restricted_growth(*_neutral_products(cocycle, splitting, n_max)[1:])[1]
 
 
 # ── telescoping inequality for perturbed chains ──────────────────────────────
@@ -499,15 +499,19 @@ def center_variation_check(strip, energy, theta=0.0,
     where C(n) is the real-energy growth sequence.  The products are
     read at the doubling checkpoints 1, 2, 4, ... up to n_max.  The
     smallest working constant, in closed form through Lambert's W, is
-    reported,
-    together with per-eps Lipschitz ratios of the projected one-step
-    matrices.
+    reported, together with per-eps Lipschitz ratios of the projected
+    one-step matrices.  One sweep of the real-energy products gives the
+    envelope and the zero shift's values; at each checkpoint the squared
+    projected value must equal the squared restricted norm there (not
+    its running maximum) to 1e-10 relative, in either direction.
 
     Raises
     ------
     ConvergenceError
         If the projection between the neutral frames becomes
         ill-conditioned.
+    InvariantError
+        If the zero-shift values disagree with the restricted norms.
     """
     base = transfer_cocycle(strip, energy)
     splitting = detect_splitting(base, theta)
@@ -530,12 +534,15 @@ def center_variation_check(strip, energy, theta=0.0,
 
     # The stations at theta and at the checkpoints come from one sweep over
     # twice the splitting's window, so the zero-shift comparison does not
-    # read the frames of the envelope's own sweep.
-    at = np.array([0] + checkpoints)
+    # read the frames of the envelope's own sweep.  The base products give
+    # the envelope and the zero shift's values.
+    at = np.array(checkpoints)
     swept = _frames_along(base, theta, dims, 2 * splitting.window, checkpoints[-1])
-    qc, proj = frames_and_projector(theta + at * alpha, *(f[at] for f in swept))
-    stations = dict(zip(at.tolist(), zip(qc, proj)))
-    envelope = center_growth(base, splitting, checkpoints[-1])
+    qc, proj = frames_and_projector(theta + np.r_[0, at] * alpha,
+                                    *(f[np.r_[0, at]] for f in swept))
+    stations = qc[1:].conj().swapaxes(-2, -1) @ proj[1:]
+    products = _neutral_products(base, splitting, checkpoints[-1])
+    norms, envelope = _restricted_growth(*products[1:])
 
     # The Lipschitz probes' real-energy frames do not depend on eps; one
     # sweep per probe gives its frame and the next phase's projector.
@@ -547,38 +554,29 @@ def center_variation_check(strip, energy, theta=0.0,
                                             fast[:, 1], center[:, 1], slow[:, 1])
         qc_b = center[:, 0]
 
-    growth = {}
-    records = []
-    lipschitz = {}
-    qc0, proj0 = stations[0]
+    growth, records, lipschitz = {}, [], {}
 
     for eps in eps_grid:
         shifted = transfer_cocycle(strip, energy + 1j * eps) if eps else base
         split_eps = compute_splitting(shifted, theta, dims) if eps else splitting
-        p_mat = qc0.conj().T @ proj0 @ split_eps.center
+        p_mat = qc[0].conj().T @ proj[0] @ split_eps.center
         if np.linalg.cond(p_mat) > PROJECTION_COND_MAX:
             raise ConvergenceError("projection ill-conditioned at the base phase")
         p_inv = np.linalg.inv(p_mat)
 
-        values = {}
-        for steps, q, log_scale, rprod in _neutral_steps(shifted, split_eps,
-                                                        checkpoints[-1]):
-            for k in np.flatnonzero(np.isin(steps, checkpoints)):
-                n = int(steps[k])
-                qc_n, proj_n = stations[n]
-                coord = qc_n.conj().T @ proj_n @ q[k] @ rprod[k] @ p_inv
-                values[n] = float(np.exp(log_scale[k]) * np.linalg.norm(coord, 2))
-        growth[eps] = values
+        q, log_scale, rprod = (_neutral_products(shifted, split_eps, checkpoints[-1])
+                               if eps else products)
+        values = np.exp(log_scale[at]) * np.linalg.norm(
+            stations @ q[at] @ rprod[at] @ p_inv, 2, axis=(-2, -1))
+        growth[eps] = dict(zip(checkpoints, values.tolist()))
 
         if eps == 0.0:
-            for n, val in values.items():
-                if abs(val**2 - envelope[n]) > 1e-10 * envelope[n] and val**2 > envelope[n]:
-                    raise InvariantError(
-                        "zero-shift projected growth disagrees with the restricted envelope"
-                    )
+            off = np.flatnonzero(np.abs(values**2 - norms[at]) > 1e-10 * norms[at])
+            if len(off):
+                raise InvariantError("zero-shift projected growth disagrees with the "
+                                     "restricted norm at step %d" % at[off[0]])
         else:
-            for n, val in values.items():
-                records.append((val, envelope[n], eps, n))
+            records += [(val, envelope[n], eps, n) for n, val in growth[eps].items()]
             a_shift = qc_a.conj().swapaxes(-2, -1) @ proj_a @ shifted.matrices(phases_lip) @ qc_b
             a_base = qc_a.conj().swapaxes(-2, -1) @ base.matrices(phases_lip) @ qc_b
             lipschitz[eps] = float(np.linalg.norm(a_shift - a_base, 2, axis=(-2, -1)).max() / eps)

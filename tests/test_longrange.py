@@ -299,3 +299,11 @@ def test_solution_growth_trends():
     assert solution_growth(u, (8, 32, 128, 512), 0.5).trend == "diverging"
     with pytest.raises(ArgumentError, match="window too short"):
         solution_growth(u, (1024,), 1.0)
+
+
+def test_solution_growth_refuses_an_empty_grid_or_a_radius_below_one():
+    u = np.ones(65)
+    for r_grid in ((), (0,), (-1, 8), (0, 16)):
+        with pytest.raises(ArgumentError, match="one or more radii, each at least one"):
+            solution_growth(u, r_grid, 1.0)
+    assert solution_growth(u, (8, 1), 1.0).values.tolist() == [3.0, 17 / 8]

@@ -1,5 +1,7 @@
 """Line and strip operators, folding, duality, config round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,6 +224,17 @@ def test_trig_poly_blocks():
 def test_strip_rejects_singular_coupling():
     with pytest.raises(ArgumentError):
         StripOperator(np.zeros((2, 2)), lambda x: np.eye(2), alpha=GOLDEN_MEAN)
+
+
+def test_strip_width_is_the_coupling_size():
+    # the width is the coupling's size, also after a replace, and cannot
+    # be set apart from it
+    strip = StripOperator(np.eye(2), lambda x: np.zeros(np.shape(x) + (2, 2)),
+                          alpha=GOLDEN_MEAN)
+    assert strip.width == replace(strip, theta=0.3).width == 2
+    assert fold_to_strip(random_line(np.random.default_rng(26), 3)).width == 3
+    with pytest.raises(TypeError):
+        StripOperator(np.eye(2), lambda x: np.eye(2), alpha=GOLDEN_MEAN, width=1)
 
 
 # ── duality ──────────────────────────────────────────────────────────────────

@@ -283,6 +283,18 @@ def test_center_growth_needs_neutral_directions():
         center_growth(free_cocycle(3.0), split, 10)
 
 
+def test_center_growth_step_count():
+    # no step leaves the envelope at one; a negative count is refused
+    cocycle = free_cocycle(0.0)
+    split = compute_splitting(cocycle, 0.0, (0, 2, 0))
+    for c in (cocycle, cocycle.inverse()):
+        values = center_growth(c, split, 0)
+        assert values.shape == (1,) and values[0] == 1.0
+        for n_max in (-1, -3):
+            with pytest.raises(ArgumentError, match="n_max must be non-negative"):
+                center_growth(c, split, n_max)
+
+
 def test_center_growth_raises_when_the_neutral_growth_overflows():
     # energy 3 lies off the free spectrum: declared all neutral, the frame
     # grows at the rate log(phi^2) per step, past e^350 at step 364
@@ -552,8 +564,9 @@ def test_center_variation_on_mixed_splitting(converged_frames, growth_fits):
     # 4 + 4 frames for detect_splitting (its (2, 0, 2) candidate converges
     # frames before failing the invariance check), 4 per splitting at the 2
     # shifted energies, and one sweep each way for the stations, for each
-    # of the 8 Lipschitz probes, for the envelope and for each eps
-    assert len(converged_frames) == 42
+    # of the 8 Lipschitz probes, for the real-energy products (the envelope
+    # and the zero shift) and for each nonzero eps
+    assert len(converged_frames) == 40
     assert report.c_growth < 1.0
     assert len(growth_fits) == 1
     assert report.lipschitz_stable
@@ -569,6 +582,26 @@ def test_center_variation_rejects_tilted_stations(monkeypatch):
         if n_window == 2 * DEFAULT_WINDOW:
             center = center.copy()
             center[..., 0] += 1e-3 * fast[..., 0]
+            center = orthonormal_columns(center)
+        return fast, center, slow
+
+    monkeypatch.setattr(splitting, "_frames_along", tilted)
+    strip, energy = mixed_strip()
+    with pytest.raises(InvariantError, match="zero-shift projected growth disagrees"):
+        center_variation_check(strip, energy, eps_grid=(0.0, 1e-4, 1e-3), n_max=256)
+
+
+def test_center_variation_rejects_stations_that_lower_the_growth(monkeypatch):
+    # the second station column tilted by -1e-3 toward the expanding
+    # direction lowers the projected growth below the running envelope;
+    # against the restricted norm at each checkpoint it must still raise
+    real = splitting._frames_along
+
+    def tilted(c, theta, dims, n_window, n_steps=0):
+        fast, center, slow = real(c, theta, dims, n_window, n_steps)
+        if n_window == 2 * DEFAULT_WINDOW:
+            center = center.copy()
+            center[..., 1] -= 1e-3 * fast[..., 0]
             center = orthonormal_columns(center)
         return fast, center, slow
 

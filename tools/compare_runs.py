@@ -5,9 +5,11 @@ against the qplattice sources of a checkout, and saves what they leave:
 the CLI artifacts as written, and each library call's result, reduced to
 plain numbers and arrays and pickled.  It also runs the whole
 verification corpus once (``run_corpus()``) and keeps its manifest as one
-more library result, and runs the repository's ``demos/*.py`` against the
-checkout and keeps what each prints.  A second command compares two such
-runs file by file and result by result, bit for bit.
+more library result, keeps two ``center_variation_check`` reports, which
+no workload computes, as library results too, and runs the repository's
+``demos/*.py`` against the checkout and keeps what each prints.  A second
+command compares two such runs file by file and result by result, bit
+for bit.
 
     python3 tools/compare_runs.py run --checkout PARENT --seed 1 --out runs/parent-1
     python3 tools/compare_runs.py run --checkout . --seed 1 --out runs/change-1
@@ -67,12 +69,31 @@ def save(path, result):
         pickle.dump(plain(result), fh)
 
 
+def center_variation_cases(qplattice):
+    """Strips and energies of the ``center_variation_check`` reports kept
+    by name: the tests' mixed K=2 strip (one expanding, two neutral and
+    one contracting direction) and AMO(0.5) inside its spectrum."""
+    import numpy as np
+    sys.path.insert(0, str(HERE / "tests"))
+    from conftest import random_line
+
+    line = random_line(np.random.default_rng(0), 2)
+    amo = qplattice.almost_mathieu(0.5)
+    return {
+        "mixed_strip": (qplattice.fold_to_strip(line), np.sort(
+            qplattice.eigenvalues_banded(line.assemble_banded(400)))[200]),
+        "amo_half": (qplattice.fold_to_strip(amo), qplattice.spectrum_sample(amo, 8)[4]),
+    }
+
+
 def run(checkout, seed, out):
-    """Run every operation of the workloads once, the verification corpus
-    and every demo; CLI artifacts land in ``out/<workload>/cmdNN/out``,
-    library results in ``out/<workload>/library/NN_<group>.pkl``, the
-    corpus manifest in ``out/corpus/run_corpus.pkl``, and what demo
-    ``name.py`` prints in ``out/demos/name.txt``."""
+    """Run every operation of the workloads once, the verification corpus,
+    the center-variation reports and every demo; CLI artifacts land in
+    ``out/<workload>/cmdNN/out``, library results in
+    ``out/<workload>/library/NN_<group>.pkl``, the corpus manifest in
+    ``out/corpus/run_corpus.pkl``, the reports in
+    ``out/center_variation/<name>.pkl``, and what demo ``name.py`` prints
+    in ``out/demos/name.txt``."""
     src = (Path(checkout) / "src").resolve()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
@@ -97,6 +118,11 @@ def run(checkout, seed, out):
 
     (Path(out) / "corpus").mkdir()
     save(Path(out) / "corpus" / "run_corpus.pkl", outcome(qplattice.run_corpus))
+    (Path(out) / "center_variation").mkdir()
+    for name, (strip, energy) in center_variation_cases(qplattice).items():
+        report = outcome(lambda: qplattice.center_variation_check(
+            strip, energy, eps_grid=(0.0, 1e-4, 1e-3), n_max=256))
+        save(Path(out) / "center_variation" / (name + ".pkl"), report)
 
     demos = Path(out) / "demos"
     demos.mkdir()
