@@ -154,8 +154,7 @@ def _out_path(args, filename):
 
 
 def _fmt(value):
-    value = float(value)
-    return "nan" if np.isnan(value) else format(value, ".17g")
+    return format(float(value), ".17g")
 
 
 def _emit_csv(cfg, args, filename, header, rows, errors=None, code=EXIT_OK, note=""):
@@ -183,26 +182,11 @@ def _emit_csv(cfg, args, filename, header, rows, errors=None, code=EXIT_OK, note
     return code
 
 
-def _jsonable(obj):
-    # numpy scalars become the Python types json.dump accepts
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
-
-
 def _emit_json(cfg, args, filename, payload, code=EXIT_OK, note="", lines=()):
     """Write a JSON artifact with its provenance, print ``lines``, report
     the artifact and return the exit code."""
     path = _out_path(args, filename)
-    payload = dict(_jsonable(payload))
+    payload = dict(payload)
     payload["provenance"] = {
         "config": config_digest(cfg),
         "version": __version__,

@@ -34,7 +34,7 @@ __all__ = [
 
 DEFAULT_SAMPLES = 32
 
-# Matrix entries per cocycle call in `orbit_matrices`: amortises the per-call
+# Matrix entries per cocycle call in `_orbit_chunks`: amortises the per-call
 # overhead without letting a chunk add to a run's peak memory.
 ORBIT_CHUNK_ENTRIES = 2 ** 13
 
@@ -197,8 +197,9 @@ def iterate(cocycle, theta, n):
     if n < 0:
         return iterate(cocycle.inverse(), theta, -n)
     out = np.eye(cocycle.dim, dtype=complex)
-    for a in orbit_matrices(cocycle, theta + cocycle.alpha * np.arange(n)):
-        out = a @ out
+    for stack in _orbit_chunks(cocycle, theta + cocycle.alpha * np.arange(n)):
+        for a in stack:
+            out = a @ out
     return out
 
 
@@ -215,13 +216,6 @@ def _orbit_chunks(cocycle, phases, block=1):
         if not np.isfinite(stack).all():
             raise ConvergenceError("non-finite step along the orbit")
         yield stack
-
-
-def orbit_matrices(cocycle, phases):
-    """Fiber matrices along an orbit, one step (first axis of ``phases``)
-    at a time, from one cocycle call per chunk of steps."""
-    for stack in _orbit_chunks(cocycle, phases):
-        yield from stack
 
 
 # ── state sweeps ────────────────────────────────────────────────────────────
@@ -540,6 +534,8 @@ def rotation_number(cocycle, n_steps, samples=8, phases=None):
         raise ArgumentError("rotation number implemented for 2x2 cocycles")
     if phases is None:
         phases = phase_lattice(samples)
+    if n_steps < 1 or np.size(phases) == 0:
+        raise ArgumentError("rotation number needs at least one step and one phase")
     probe = cocycle.matrices(np.atleast_1d(phases)[:1])
     if np.abs(np.imag(probe)).max() > 1e-12:
         raise ArgumentError("rotation number needs a real cocycle")
@@ -588,6 +584,8 @@ def acceleration(strip, energy, y_grid=None, n_steps=20000,
     if y_grid is None:
         y_grid = np.linspace(0.0, 0.01, 6)
     y_grid = np.asarray(y_grid, dtype=float)
+    if np.unique(y_grid).size < 2:
+        raise ArgumentError("the affine fit needs at least two distinct shifts")
     # one QR evolution over every shift: a row of phases per y
     phases = (phase_lattice(samples) + 1j * y_grid[:, None]).ravel()
     est = lyapunov_spectrum(transfer_cocycle(strip, energy), n_steps, top=1,

@@ -185,6 +185,8 @@ def upper_alpha_derivative(table, energy, alpha, eps_grid=None):
     if eps_grid is None:
         eps_grid = tuple(np.geomspace(1e-1, 1e-3, 13))
     eps_grid = tuple(float(e) for e in sorted(eps_grid, reverse=True))
+    if not eps_grid:
+        raise ArgumentError("need one or more imaginary offsets")
     vals = np.array(
         [e ** (1.0 - alpha) * np.imag(stieltjes(table, energy + 1j * e)) for e in eps_grid]
     )
@@ -219,6 +221,8 @@ def holder_probe(table, energy, eps_grid=None):
     if eps_grid is None:
         eps_grid = tuple(np.geomspace(1e-3, 1e-1, 13))
     eps_grid = tuple(float(e) for e in sorted(eps_grid))
+    if len(eps_grid) < 3:
+        raise ArgumentError("the slope fit needs at least three windows")
     incs = np.array(
         [table.value_at(energy + e) - table.value_at(energy - e) for e in eps_grid]
     )

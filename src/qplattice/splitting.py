@@ -30,9 +30,9 @@ from .cocycle import (
     _Segment,
     _block_prefixes,
     _orbit_batches,
+    _orbit_chunks,
     _state_sweep,
     finite_window_rates,
-    orbit_matrices,
     transfer_cocycle,
 )
 
@@ -97,14 +97,15 @@ def _carried_frames(cocycle, theta, n_window, n_steps, n_cols, seed):
         q = _Segment(cocycle, theta + cocycle.alpha
                      * np.arange(-n_window, length - n_window)).carry(q)
         n_window -= length
-    return _qr_walk(orbit_matrices(cocycle, theta + cocycle.alpha * np.arange(n_steps)), q)
+    return _qr_walk(_orbit_chunks(cocycle, theta + cocycle.alpha * np.arange(n_steps)), q)
 
 
-def _qr_walk(mats, q):
-    # The frame q and its images under the matrices in turn, one QR each.
+def _qr_walk(stacks, q):
+    # The frame q and its images under the stacks' matrices in turn, one QR each.
     frames = [q]
-    for a in mats:
-        frames.append(np.linalg.qr(a @ frames[-1])[0])
+    for stack in stacks:
+        for a in stack:
+            frames.append(np.linalg.qr(a @ frames[-1])[0])
     return np.stack(frames)
 
 
@@ -435,7 +436,7 @@ def telescoping_check(form, family, v_start, lip, t, n_steps, samples=4):
     log_reach = (np.log(np.linalg.norm(prefix[:, 0] @ v1, 2, axis=(-2, -1)))
                  + expo[:, 0] * np.log(2.0))
     growth = max(1.0, float(np.exp(2.0 * log_reach.max())))
-    frames = _qr_walk(links, v1)[1:]
+    frames = _qr_walk([links], v1)[1:]
     constant = max(constant, float(reverse_norm_constant(form, frames).max()))
 
     prod, log_prod = prefix[-1, 1], expo[-1, 1] * np.log(2.0)
@@ -513,6 +514,8 @@ def center_variation_check(strip, energy, theta=0.0,
     InvariantError
         If the zero-shift values disagree with the restricted norms.
     """
+    if n_max < 1 or any(eps < 0 for eps in eps_grid):
+        raise ArgumentError("n_max must be at least one and every shift non-negative")
     base = transfer_cocycle(strip, energy)
     splitting = detect_splitting(base, theta)
     dims = splitting.dims

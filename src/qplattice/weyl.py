@@ -289,8 +289,8 @@ def spectral_bound(strip, energy, eps_grid=None, theta=0.0, dims=None,
     if eps_grid is None:
         eps_grid = tuple(np.geomspace(1e-3, 1e-1, 7))
     eps_grid = tuple(float(e) for e in sorted(eps_grid, reverse=True))
-    if min(eps_grid) <= 0:
-        raise ArgumentError("imaginary offsets must be positive")
+    if not eps_grid or min(eps_grid) <= 0:
+        raise ArgumentError("need one or more imaginary offsets, each positive")
 
     base = transfer_cocycle(strip, energy)
     splitting = (detect_splitting(base, theta, n_window) if dims is None

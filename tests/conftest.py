@@ -165,7 +165,7 @@ def reference_rotation_number(c, n_steps, samples=8, phases=None):
     total = np.zeros(len(phases))
     ang = np.arctan2(v[:, 1], v[:, 0])
     orbit = phases + c.alpha * np.arange(n_steps)[:, None]
-    for mats in cocycle.orbit_matrices(c, orbit):
+    for mats in c.matrices(orbit):
         v = np.einsum("sij,sj->si", np.real(mats), v)
         new_ang = np.arctan2(v[:, 1], v[:, 0])
         delta = new_ang - ang
@@ -190,7 +190,7 @@ def reference_center_growth(c, split, n_max):
     log_scale = 0.0
     out = np.empty(n_max + 1)
     out[0] = 1.0
-    mats = cocycle.orbit_matrices(c, theta + c.alpha * np.arange(n_max))
+    mats = c.matrices(theta + c.alpha * np.arange(n_max))
     for n, (a, center) in enumerate(zip(mats, centers[1:]), start=1):
         image = a @ q
         q = center
@@ -274,7 +274,7 @@ def reference_wronskian_drift(strip, energy, theta, x0, y0, n_steps):
     y_states[n_steps] = y
     y_logs[n_steps] = 0.0
     backward = np.arange(n_steps - 1, -1, -1)
-    for n, a in zip(backward, cocycle.orbit_matrices(c, theta + c.alpha * backward)):
+    for n, a in zip(backward, c.matrices(theta + c.alpha * backward)):
         y = np.linalg.solve(a, y)
         sy = np.linalg.norm(y)
         y = y / sy
@@ -284,12 +284,12 @@ def reference_wronskian_drift(strip, energy, theta, x0, y0, n_steps):
     x = x / np.linalg.norm(x)
     log_x = 0.0
     values = np.empty(n_steps + 1, dtype=complex)
-    forward = cocycle.orbit_matrices(c, theta + c.alpha * np.arange(n_steps))
+    forward = c.matrices(theta + c.alpha * np.arange(n_steps))
     for n in range(n_steps + 1):
         values[n] = (wronskian(strip.coupling, x, y_states[n])
                      * np.exp(log_x + y_logs[n] - y_logs[0]))
         if n < n_steps:
-            x = next(forward) @ x
+            x = forward[n] @ x
             sx = np.linalg.norm(x)
             x = x / sx
             log_x += np.log(sx)

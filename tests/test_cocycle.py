@@ -19,6 +19,7 @@ from qplattice.cocycle import (
     ORBIT_CHUNK_ENTRIES,
     SWEEP_BLOCK,
     Cocycle,
+    _orbit_chunks,
     _state_sweep,
     acceleration,
     companion_cocycle,
@@ -26,7 +27,6 @@ from qplattice.cocycle import (
     finite_window_rates,
     iterate,
     lyapunov_spectrum,
-    orbit_matrices,
     phase_lattice,
     rotation_number,
     top_lyapunov,
@@ -167,7 +167,7 @@ def test_inverse_cocycle_undoes_the_forward_steps(cocycle, x, n):
 def test_inverse_steps_preserve_the_pairing(cocycle, x, n):
     inverse = cocycle.inverse()
     assert inverse.form is cocycle.form
-    for a in orbit_matrices(inverse, x + inverse.alpha * np.arange(n)):
+    for a in inverse.matrices(x + inverse.alpha * np.arange(n)):
         assert form_defect(a, cocycle.form) <= 1e-12
 
 
@@ -239,6 +239,20 @@ def test_rotation_number_input_checks():
     bad = transfer_cocycle(fold_to_strip(free_laplacian()), 1j)
     with pytest.raises(ArgumentError):
         rotation_number(bad, 10)
+
+
+def test_rotation_number_needs_a_step_and_a_phase():
+    cocycle = rotation_cocycle(0.3)
+    for n_steps, samples, phases in [(0, 8, None), (10, 0, None), (10, 8, [])]:
+        with pytest.raises(ArgumentError):
+            rotation_number(cocycle, n_steps, samples=samples, phases=phases)
+
+
+def test_acceleration_needs_two_distinct_shifts():
+    strip = fold_to_strip(almost_mathieu(2.0))
+    for y_grid in ([], [0.0], [0.01, 0.01]):
+        with pytest.raises(ArgumentError):
+            acceleration(strip, 0.5, y_grid=y_grid, n_steps=10, samples=2)
 
 
 def test_acceleration_supercritical_cosine():
@@ -315,14 +329,14 @@ def chunk_edges(samples, dim):
 
 
 @pytest.mark.parametrize("samples", [1, 32])
-def test_orbit_matrices_match_per_step_evaluation(samples):
+def test_orbit_chunks_match_per_step_evaluation(samples):
     cocycle = transfer_cocycle(random_strip(np.random.default_rng(51)), 0.4)
     # one phase steps as scalars (the frame loops), many as a row each
     start = 0.3 if samples == 1 else phase_lattice(samples)
     for n_steps in chunk_edges(samples, cocycle.dim):
         steps = np.arange(n_steps) if samples == 1 else np.arange(n_steps)[:, None]
         orbit = start + cocycle.alpha * steps
-        mats = list(orbit_matrices(cocycle, orbit))
+        mats = np.concatenate(list(_orbit_chunks(cocycle, orbit)))
         assert len(mats) == n_steps
         for phase, a in zip(orbit, mats):
             np.testing.assert_array_equal(a, cocycle.matrix(phase))
@@ -342,12 +356,12 @@ def test_matrices_broadcast_only_a_map_that_ignores_its_phases():
     assert Cocycle(GOLDEN_MEAN, lambda x: step, 2).matrix(0.5) is step
 
 
-def test_orbit_matrices_broadcast_a_phase_independent_map():
+def test_orbit_chunks_broadcast_a_phase_independent_map():
     # a strip potential that ignores its phases yields one transfer matrix
     strip = StripOperator(np.eye(2), lambda x: np.diag([3.0, 0.0]), alpha=GOLDEN_MEAN)
     cocycle = transfer_cocycle(strip, 0.0)
     orbit = phase_lattice(4) + cocycle.alpha * np.arange(3)[:, None]
-    mats = list(orbit_matrices(cocycle, orbit))
+    mats = np.concatenate(list(_orbit_chunks(cocycle, orbit)))
     assert len(mats) == 3
     for a in mats:
         np.testing.assert_array_equal(a, np.broadcast_to(cocycle.matrix(0.0), (4, 4, 4)))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import qplattice.longrange
 from qplattice.cli import DEFAULT_RADII
-from qplattice.corpus import cosine_root_state
+from qplattice.corpus import CUBIC_TAIL_CUT, cosine_root_state, cubic_tail_operator
 from qplattice.linalg import ArgumentError, InvariantError, banded_matmul, \
     eigenvalues_banded, nearest_eigenpair, solve_shifted_banded
 from qplattice.longrange import (
@@ -132,6 +132,20 @@ def test_subordinacy_chain_free_center():
         assert rec["lower"] <= rec["w_total"] + 1e-12
         assert rec["w_total"] <= rec["window_bound"] + 1e-12
         assert rec["w_total"] <= rec["tail_bound"] + 1e-12
+
+
+def test_subordinacy_trends_on_the_cubic_tail_state():
+    # alpha = 1 saturates here; a larger exponent makes the scaled mass
+    # vanish, a smaller one over a wider grid makes it diverge, and one so
+    # large that eps**alpha underflows leaves zero proxies
+    op = cubic_tail_operator()
+    u, _root = cosine_root_state(op, 2 * 1024 + CUBIC_TAIL_CUT + 8)
+    for alpha, radii, trend in [(2.0, (256, 1024), "vanishing"),
+                                (0.0, (64, 1024), "diverging"),
+                                (200.0, (256, 1024), "vanishing")]:
+        report = subordinacy_probe(op, 0.0, u, r_grid=radii, alpha=alpha)
+        assert report.ok and report.trend == trend
+    assert all(rec["proxy"] == 0.0 for rec in report.records)
 
 
 def test_subordinacy_chain_fails_on_a_wrong_solve(monkeypatch):

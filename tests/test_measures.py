@@ -239,6 +239,18 @@ def test_holder_probe_gap(fine_table):
     assert np.isnan(report.slope)
 
 
+def test_holder_probe_needs_three_windows(fine_table):
+    # fewer windows than the slope fit needs are no evidence of a gap
+    for eps_grid in ((), (1e-2, 1e-1)):
+        with pytest.raises(ArgumentError):
+            holder_probe(fine_table, 0.0, eps_grid=eps_grid)
+
+
+def test_alpha_derivative_needs_an_offset(fine_table):
+    with pytest.raises(ArgumentError):
+        upper_alpha_derivative(fine_table, 0.0, 1.0, eps_grid=())
+
+
 def test_alpha_derivative_trends(fine_table):
     # at a full-weight interior point the alpha=1 values settle at the
     # density of states times pi

@@ -272,6 +272,23 @@ def test_config_round_trip():
     assert back.epsilon == op.epsilon
 
 
+def test_sequence_config_round_trip():
+    cfg = {
+        "hopping": [[1, 1.0, 0.0]],
+        "alpha": GOLDEN_MEAN,
+        "theta": 0.0,
+        "epsilon": 0.5,
+        "potential": {"type": "sequence", "values": [0.5, -2.0, 1.0], "first_site": -1},
+    }
+    op = operator_from_config(cfg)
+    np.testing.assert_array_equal(op.potential.sample([-1, 0, 1], 0.0, 0.0), [0.5, -2.0, 1.0])
+    assert op.to_config() == cfg
+    # the sup is the largest modulus, not the largest value
+    assert op.potential.sup_norm() == 2.0
+    assert op.norm_bound() == 2.0 + 0.5 * 2.0
+    assert np.linalg.norm(op.assemble(3, first_site=-1), 2) <= op.norm_bound()
+
+
 def test_config_digest_is_canonical():
     a = {"x": 1, "y": [1, 2]}
     b = {"y": [1, 2], "x": 1}

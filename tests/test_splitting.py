@@ -628,3 +628,11 @@ def test_center_variation_needs_neutral_frame():
     with pytest.raises(ArgumentError):
         center_variation_check(fold_to_strip(free_laplacian()), 3.0,
                                eps_grid=(0.0, 1e-4), n_max=64)
+
+
+def test_center_variation_refuses_no_steps_and_negative_shifts():
+    # the zero shift stays allowed: it checks the projection
+    strip = fold_to_strip(almost_mathieu(0.5))
+    for n_max, eps_grid in [(0, (0.0, 1e-4)), (-1, (0.0, 1e-4)), (256, (0.0, -1e-4))]:
+        with pytest.raises(ArgumentError):
+            center_variation_check(strip, 0.1, eps_grid=eps_grid, n_max=n_max)

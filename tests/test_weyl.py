@@ -271,6 +271,11 @@ def test_spectral_bound_with_declared_dims_matches_detection():
                                       getattr(detected, field.name))
 
 
+def test_spectral_bound_needs_an_offset():
+    with pytest.raises(ArgumentError):
+        spectral_bound(FREE, 0.0, eps_grid=())
+
+
 def test_spectral_bound_needs_neutral_energy():
     with pytest.raises(ArgumentError):
         spectral_bound(FREE, 3.0, eps_grid=(1e-1,))

@@ -5,11 +5,12 @@ against the qplattice sources of a checkout, and saves what they leave:
 the CLI artifacts as written, and each library call's result, reduced to
 plain numbers and arrays and pickled.  It also runs the whole
 verification corpus once (``run_corpus()``) and keeps its manifest as one
-more library result, keeps two ``center_variation_check`` reports, which
-no workload computes, as library results too, and runs the repository's
-``demos/*.py`` against the checkout and keeps what each prints.  A second
-command compares two such runs file by file and result by result, bit
-for bit.
+more library result, keeps two ``center_variation_check`` reports and
+the forward and backward ``iterate`` products of a seeded K=2 strip,
+which no workload computes, as library results too, and runs the
+repository's ``demos/*.py`` against the checkout and keeps what each
+prints.  A second command compares two such runs file by file and
+result by result, bit for bit.
 
     python3 tools/compare_runs.py run --checkout PARENT --seed 1 --out runs/parent-1
     python3 tools/compare_runs.py run --checkout . --seed 1 --out runs/change-1
@@ -88,12 +89,13 @@ def center_variation_cases(qplattice):
 
 def run(checkout, seed, out):
     """Run every operation of the workloads once, the verification corpus,
-    the center-variation reports and every demo; CLI artifacts land in
-    ``out/<workload>/cmdNN/out``, library results in
+    the center-variation reports, the ``iterate`` products and every demo;
+    CLI artifacts land in ``out/<workload>/cmdNN/out``, library results in
     ``out/<workload>/library/NN_<group>.pkl``, the corpus manifest in
     ``out/corpus/run_corpus.pkl``, the reports in
-    ``out/center_variation/<name>.pkl``, and what demo ``name.py`` prints
-    in ``out/demos/name.txt``."""
+    ``out/center_variation/<name>.pkl``, the products in
+    ``out/iterate/<direction>.pkl``, and what demo ``name.py`` prints in
+    ``out/demos/name.txt``."""
     src = (Path(checkout) / "src").resolve()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
@@ -119,10 +121,18 @@ def run(checkout, seed, out):
     (Path(out) / "corpus").mkdir()
     save(Path(out) / "corpus" / "run_corpus.pkl", outcome(qplattice.run_corpus))
     (Path(out) / "center_variation").mkdir()
-    for name, (strip, energy) in center_variation_cases(qplattice).items():
+    cases = center_variation_cases(qplattice)
+    for name, (strip, energy) in cases.items():
         report = outcome(lambda: qplattice.center_variation_check(
             strip, energy, eps_grid=(0.0, 1e-4, 1e-3), n_max=256))
         save(Path(out) / "center_variation" / (name + ".pkl"), report)
+    # 600 steps cross an orbit chunk of the 4x4 transfer matrices (512
+    # steps) and stay finite on the mixed strip
+    (Path(out) / "iterate").mkdir()
+    cocycle = qplattice.transfer_cocycle(*cases["mixed_strip"])
+    for name, n in (("forward", 600), ("backward", -600)):
+        save(Path(out) / "iterate" / (name + ".pkl"),
+             outcome(lambda: qplattice.iterate(cocycle, 0.2, n)))
 
     demos = Path(out) / "demos"
     demos.mkdir()
