@@ -52,10 +52,9 @@ from .measures import (
     ids,
     thouless_residual,
 )
-from .longrange import subordinacy_probe, duality_transform
+from .longrange import DEFAULT_RADII, subordinacy_probe, duality_transform
 from .corpus import cosine_root_state, run_corpus
 
-DEFAULT_RADII = (256, 512, 1024, 2048, 4096)
 # a duality transform whose residual exceeds this solves nothing
 DUALITY_RESIDUAL_TOL = 1e-6
 EXIT_OK = 0

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 32
+ACCELERATION_FIT_TOL = 1e-3
 
 # Matrix entries per cocycle call in `_orbit_chunks`: amortises the per-call
 # overhead without letting a chunk add to a run's peak memory.
@@ -192,14 +193,18 @@ def iterate(cocycle, theta, n):
     ``iterate(c, x, -n)`` is the product of the inverse cocycle's n steps
     from ``x``: the inverse of the forward product based at ``x - n alpha``,
     which is the standard two-sided extension.  Plain products only: for
-    long hyperbolic runs use the QR-based routines.
+    long hyperbolic runs use the QR-based routines.  A product that
+    overflows raises ``ConvergenceError``.
     """
     if n < 0:
         return iterate(cocycle.inverse(), theta, -n)
     out = np.eye(cocycle.dim, dtype=complex)
     for stack in _orbit_chunks(cocycle, theta + cocycle.alpha * np.arange(n)):
-        for a in stack:
-            out = a @ out
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in stack:
+                out = a @ out
+        if not np.isfinite(out).all():
+            raise ConvergenceError("plain product overflowed along the orbit")
     return out
 
 
@@ -499,18 +504,15 @@ def lyapunov_spectrum(cocycle, n_steps, samples=DEFAULT_SAMPLES, top=None,
     return LyapunovEstimate(exponents, spread, per_sample)
 
 
-def top_lyapunov(cocycle, n_steps, samples=DEFAULT_SAMPLES, phases=None):
+def top_lyapunov(cocycle, n_steps, samples=DEFAULT_SAMPLES):
     """Convenience wrapper returning (top exponent, spread)."""
-    est = lyapunov_spectrum(cocycle, n_steps, samples=samples, top=1,
-                            phases=phases)
+    est = lyapunov_spectrum(cocycle, n_steps, samples=samples, top=1)
     return float(est.exponents[0]), est.spread
 
 
-def upper_lyapunov_sum(cocycle, j_top, n_steps, samples=DEFAULT_SAMPLES,
-                       phases=None):
+def upper_lyapunov_sum(cocycle, j_top, n_steps, samples=DEFAULT_SAMPLES):
     """Sum of the leading ``j_top`` exponents (a QR frame of that width)."""
-    est = lyapunov_spectrum(cocycle, n_steps, samples=samples, top=j_top,
-                            phases=phases)
+    est = lyapunov_spectrum(cocycle, n_steps, samples=samples, top=j_top)
     sums = est.per_sample.sum(axis=1)
     return float(sums.mean()), (float(sums.std()) if len(sums) > 1 else 0.0)
 
@@ -571,15 +573,15 @@ class AccelerationEstimate:
 
 
 def acceleration(strip, energy, y_grid=None, n_steps=20000,
-                 samples=DEFAULT_SAMPLES, fit_tol=1e-3):
+                 samples=DEFAULT_SAMPLES):
     """Slope of the top exponent under a complex phase shift, over 2 pi.
 
     Evaluates the top exponent of the strip's transfer cocycle at phases
     shifted by ``i y`` for each ``y`` in the grid and fits an affine
     function; the slope divided by ``2 pi`` is the acceleration.  The
     profile is piecewise affine with corners, so a fit residual above
-    ``fit_tol`` means the grid straddles a corner and the call raises
-    rather than reporting a blended slope.
+    ``ACCELERATION_FIT_TOL`` means the grid straddles a corner and the
+    call raises rather than reporting a blended slope.
     """
     if y_grid is None:
         y_grid = np.linspace(0.0, 0.01, 6)
@@ -594,7 +596,7 @@ def acceleration(strip, energy, y_grid=None, n_steps=20000,
     coeffs = np.polyfit(y_grid, tops, 1)
     fit = np.polyval(coeffs, y_grid)
     residual = float(np.abs(fit - tops).max())
-    if residual > fit_tol:
+    if residual > ACCELERATION_FIT_TOL:
         raise ConvergenceError(
             "exponent profile is not affine over the shift grid "
             "(residual %.2e); the grid straddles a corner" % residual

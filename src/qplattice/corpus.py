@@ -38,19 +38,19 @@ FIBONACCI_SITES = 987
 CUBIC_TAIL_CUT = 64
 
 
-def spectrum_sample(op, count, n_sites=FIBONACCI_SITES, lo=0.1, hi=0.9):
+def spectrum_sample(op, count):
     """Energies sampled from the eigenvalues of a centered truncation,
     at evenly spaced quantiles of the interior of the spectrum."""
-    eigs = eigenvalues_banded(op.assemble_banded(n_sites))
-    idx = np.unique(np.round(np.linspace(lo, hi, count) * (len(eigs) - 1)).astype(int))
+    eigs = eigenvalues_banded(op.assemble_banded(FIBONACCI_SITES))
+    idx = np.unique(np.round(np.linspace(0.1, 0.9, count) * (len(eigs) - 1)).astype(int))
     return eigs[idx]
 
 
-def cubic_tail_operator(alpha=GOLDEN_MEAN, k_cut=CUBIC_TAIL_CUT):
+def cubic_tail_operator(alpha=GOLDEN_MEAN):
     """Free Laplacian with an inverse-quartic hopping tail, cut where the
     neglected arm stays below 3e-6 in l1."""
     coeffs = {1: 1.0}
-    for k in range(2, k_cut + 1):
+    for k in range(2, CUBIC_TAIL_CUT + 1):
         coeffs[k] = k**-4.0
     return LineOperator(Hopping(coeffs), Potential.zero(), alpha=alpha,
                         theta=0.0, epsilon=0.0)

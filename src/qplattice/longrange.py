@@ -16,6 +16,7 @@ from .linalg import ArgumentError, InvariantError, solve_shifted_banded
 from .measures import _growth_trend
 
 ZETA_TWO = np.pi**2 / 6.0
+DEFAULT_RADII = (256, 512, 1024, 2048, 4096)
 
 
 # ── windowed boundary pairing ────────────────────────────────────────────────
@@ -121,7 +122,7 @@ class SubordinacyReport:
     ok: bool
 
 
-def subordinacy_probe(op, energy, u, phi=None, r_grid=(256, 512, 1024, 2048, 4096),
+def subordinacy_probe(op, energy, u, phi=None, r_grid=DEFAULT_RADII,
                       alpha=1.0, first_site=None):
     """Resolve the chain of boundary-pairing bounds against a shifted solve.
 

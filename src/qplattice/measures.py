@@ -228,25 +228,19 @@ def holder_probe(table, energy, eps_grid=None):
     )
     floor = 4.0 * table.resolution()
     usable = incs > floor
-    if np.count_nonzero(usable) < 3 or incs[-1] <= floor:
-        return HolderReport(
-            eps_grid=eps_grid,
-            increments=incs,
-            slope=float("nan"),
-            gap=True,
-            upper_half_constant=float("nan"),
-            lower_three_halves_constant=float("nan"),
-        )
-    es = np.array(eps_grid)[usable]
-    gs = incs[usable]
-    slope = float(np.polyfit(np.log(es), np.log(gs), 1)[0])
-    upper = float(np.max(gs / np.sqrt(es)))
-    lower = float(np.min(gs / es**1.5))
+    gap = bool(np.count_nonzero(usable) < 3 or incs[-1] <= floor)
+    slope = upper = lower = float("nan")
+    if not gap:
+        es = np.array(eps_grid)[usable]
+        gs = incs[usable]
+        slope = float(np.polyfit(np.log(es), np.log(gs), 1)[0])
+        upper = float(np.max(gs / np.sqrt(es)))
+        lower = float(np.min(gs / es**1.5))
     return HolderReport(
         eps_grid=eps_grid,
         increments=incs,
         slope=slope,
-        gap=False,
+        gap=gap,
         upper_half_constant=upper,
         lower_three_halves_constant=lower,
     )

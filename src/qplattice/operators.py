@@ -379,21 +379,18 @@ class _FoldedPotential:
         return out
 
 
-def fold_to_strip(line_op, k_width=None):
-    """Regroup K consecutive line sites into one strip fiber.
+def fold_to_strip(line_op):
+    """Regroup K consecutive line sites into one strip fiber, K the hopping range.
 
-    The coupling block is upper triangular with the long hops on and above
-    the diagonal, the block potential carries the short hops plus the
-    sampled on-site terms, and the strip rotation advances by K alpha.
-    Requires the hopping range to be at most K with ``w_K`` nonzero.
+    The coupling block is upper triangular with ``w_K``, nonzero, on the
+    diagonal and the long hops above it, the block potential carries the
+    short hops plus the sampled on-site terms, and the strip rotation
+    advances by K alpha.  A line without a hopping term raises.
     """
     w = line_op.hopping
-    if k_width is None:
-        k_width = w.range
-    if k_width < w.range or k_width < 1:
-        raise ArgumentError("fold width must cover the hopping range")
-    if w.coefficient(k_width) == 0:
-        raise ArgumentError("leading hopping coefficient w_K must be nonzero")
+    k_width = w.range
+    if k_width < 1:
+        raise ArgumentError("folding needs an off-diagonal hopping term")
     if line_op.potential.kind != "fourier":
         raise ArgumentError("folding needs an analytic potential")
     # taps[K - 1 + d] = w_d: entry (i, j) of the block potential holds

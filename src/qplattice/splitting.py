@@ -40,6 +40,8 @@ DEFAULT_WINDOW = 128
 GAP_THRESHOLD = 1.01
 INVARIANCE_TOL = 1e-6
 PROJECTION_COND_MAX = 1e8
+CRITICAL_ANGLE_FLOOR = 1e-2
+TELESCOPING_SPOT_CHECKS = 4
 
 
 # ── splitting data ───────────────────────────────────────────────────────────
@@ -228,13 +230,14 @@ def detect_splitting(cocycle, theta=0.0, n_window=DEFAULT_WINDOW):
     candidate is read off the growth rates of one window."""
     dim = cocycle.dim
     rates = finite_window_rates(cocycle, theta, n_window)
-    for d_c in range(dim % 2, dim + 1, 2):
+    for d_c in range(dim % 2, dim, 2):
         h = (dim - d_c) // 2
         try:
             return _certified_splitting(cocycle, theta, (h, d_c, h), n_window, rates)
         except ConvergenceError:
             continue
-    raise ConvergenceError("no dominated splitting certified at any dims")
+    # all neutral always certifies: no gap, identity frames, no invariance test
+    return _certified_splitting(cocycle, theta, (0, dim, 0), n_window, rates)
 
 
 # ── vertical angles and critical phases ──────────────────────────────────────
@@ -272,15 +275,16 @@ def horizontal_angle(frame):
     return _axis_angle(frame, bottom=False)
 
 
-def critical_set_test(splitting, floor=1e-2):
+def critical_set_test(splitting):
     """True when the base phase stays clear of the critical sets: the
     contracting frame keeps a margin from the vertical and the expanding
-    frame from its flipped image.  Empty frames pass vacuously."""
+    frame from its flipped image, both above ``CRITICAL_ANGLE_FLOOR``;
+    empty frames pass vacuously."""
     ok = True
     if splitting.dims[2]:
-        ok = ok and vertical_angle(splitting.stable) > floor
+        ok = ok and vertical_angle(splitting.stable) > CRITICAL_ANGLE_FLOOR
     if splitting.dims[0]:
-        ok = ok and horizontal_angle(splitting.unstable) > floor
+        ok = ok and horizontal_angle(splitting.unstable) > CRITICAL_ANGLE_FLOOR
     return bool(ok)
 
 
@@ -381,7 +385,7 @@ class TelescopingReport:
     ok: bool
 
 
-def telescoping_check(form, family, v_start, lip, t, n_steps, samples=4):
+def telescoping_check(form, family, v_start, lip, t, n_steps):
     """Check the perturbed-chain growth bound on a subspace chain.
 
     Parameters
@@ -399,9 +403,8 @@ def telescoping_check(form, family, v_start, lip, t, n_steps, samples=4):
     t : float
         Perturbation size at which the product is evaluated.
     n_steps : int
-        Chain length.
-    samples : int
-        How many links get their Lipschitz declaration spot-checked.
+        Chain length; ``TELESCOPING_SPOT_CHECKS`` evenly spaced links get
+        their Lipschitz declaration spot-checked.
 
     Returns
     -------
@@ -421,7 +424,7 @@ def telescoping_check(form, family, v_start, lip, t, n_steps, samples=4):
     moved = np.array([family(t, j) for j in range(1, n_steps + 1)], dtype=complex)
     broken = form_defect(links, form) > 1e-8
     drift = np.zeros(n_steps)
-    check_at = np.linspace(1, n_steps, min(samples, n_steps), dtype=int) - 1
+    check_at = np.linspace(1, n_steps, min(TELESCOPING_SPOT_CHECKS, n_steps), dtype=int) - 1
     drift[check_at] = np.linalg.norm(moved[check_at] - links[check_at], 2, axis=(-2, -1))
     faults = np.flatnonzero(broken | (drift > lip * abs(t) * (1 + 1e-9) + 1e-12))
     if len(faults) and broken[faults[0]]:

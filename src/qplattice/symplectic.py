@@ -34,6 +34,7 @@ __all__ = [
 # a restricted pairing with an eigenvalue within this fraction of its
 # largest is degenerate
 DEGENERACY_TOL = 1e-10
+FORM_TOL = 1e-12
 
 
 def pairing_matrix(coupling):
@@ -64,8 +65,9 @@ def form_defect(a, s):
     return float(defect) if defect.ndim == 0 else defect
 
 
-def preserves_form(a, s, tol=1e-12):
-    return form_defect(a, s) <= tol
+def preserves_form(a, s):
+    """True when the relative form defect is at most ``FORM_TOL``."""
+    return form_defect(a, s) <= FORM_TOL
 
 
 def wronskian(coupling, x_state, y_state):

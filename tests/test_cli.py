@@ -189,6 +189,9 @@ def test_config_errors(tmp_path):
     bad_root = tmp_path / "list.json"
     bad_root.write_text("[1, 2]")
     assert main(["ids", "--config", str(bad_root), "--out", str(tmp_path)]) == 1
+    not_json = tmp_path / "broken.json"
+    not_json.write_text('{"operator": ')
+    assert main(["ids", "--config", str(not_json), "--out", str(tmp_path)]) == 1
     # sizes below one: step and sample counts, radii, the duality window
     for command, cfg in [
         ("lyapunov", {"grid": {"values": [3.0]}, "steps": 0}),
@@ -199,6 +202,7 @@ def test_config_errors(tmp_path):
         ("ids", {"grid": {"values": [-1.0, 1.0]}, "truncation": 64, "samples": 0}),
         ("duality", {"energy": 0.5, "truncation": 101, "window": 0}),
         ("subordinacy", {"energy": 0.0, "radii": [0, 16]}),
+        ("subordinacy", {"energy": 0.0, "radii": []}),
         # values of the wrong type or form
         ("lyapunov", {"grid": {"values": [3.0]}, "steps": "many"}),
         ("splitting", {"grid": {"values": [3.0]}, "window": None}),

@@ -37,6 +37,7 @@ from qplattice.corpus import spectrum_sample
 from qplattice.linalg import (
     ArgumentError,
     ConvergenceError,
+    InvariantError,
     eigenvalues_banded,
     orthonormal_columns,
     principal_angles,
@@ -126,6 +127,19 @@ def test_iterate_cocycle_property():
     np.testing.assert_allclose(back @ iterate(cocycle, theta - 4 * cocycle.alpha, 4),
                                np.eye(cocycle.dim), atol=1e-10)
     np.testing.assert_allclose(iterate(cocycle, theta, 0), np.eye(cocycle.dim))
+
+
+def test_iterate_raises_when_the_plain_product_overflows():
+    # on the mixed K=2 strip the product stays finite over 600 steps each
+    # way and overflows, to NaN, by 3000
+    line = random_line(np.random.default_rng(0), 2)
+    energy = np.sort(eigenvalues_banded(line.assemble_banded(400)))[200]
+    cocycle = transfer_cocycle(fold_to_strip(line), energy)
+    for n in (600, -600):
+        assert np.isfinite(iterate(cocycle, 0.2, n)).all()
+    for n in (3000, -3000):
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            iterate(cocycle, 0.2, n)
 
 
 # ── the inverse cocycle ──────────────────────────────────────────────────────
@@ -239,6 +253,10 @@ def test_rotation_number_input_checks():
     bad = transfer_cocycle(fold_to_strip(free_laplacian()), 1j)
     with pytest.raises(ArgumentError):
         rotation_number(bad, 10)
+    # an orientation-reversing step has no lift either
+    flip = Cocycle(0.3, lambda x: np.diag([1.0, -1.0]), 2)
+    with pytest.raises(ArgumentError, match="positive determinant"):
+        rotation_number(flip, 10)
 
 
 def test_rotation_number_needs_a_step_and_a_phase():
@@ -255,9 +273,21 @@ def test_acceleration_needs_two_distinct_shifts():
             acceleration(strip, 0.5, y_grid=y_grid, n_steps=10, samples=2)
 
 
+def test_acceleration_raises_when_the_grid_straddles_a_corner():
+    # AMO(0.5) inside its spectrum: the top exponent is flat in the shift
+    # up to log 2 / 2 pi = 0.11 and has slope 2 pi beyond
+    op = almost_mathieu(0.5)
+    strip, energy = fold_to_strip(op), float(spectrum_sample(op, 5)[2])
+    with pytest.raises(ConvergenceError, match="straddles a corner"):
+        acceleration(strip, energy, y_grid=np.linspace(0.0, 0.2, 6), n_steps=4000, samples=8)
+    est = acceleration(strip, energy, y_grid=np.linspace(0.15, 0.25, 6), n_steps=4000,
+                       samples=8)
+    assert est.rounded == 1
+
+
 def test_acceleration_supercritical_cosine():
     strip = fold_to_strip(almost_mathieu(2.0))
-    est = acceleration(strip, 0.5, n_steps=4000, samples=8, fit_tol=5e-3)
+    est = acceleration(strip, 0.5, n_steps=4000, samples=8)
     assert est.rounded == 1
     assert abs(est.value - 1.0) < 0.05
     assert est.residual < 5e-3
@@ -437,6 +467,12 @@ def test_block_engine_crosses_a_step_whose_norm_overflows(block_certificates):
                                rtol=1e-12)
     reference = reference_qr_engine(cocycle, phases, 64, cocycle.dim)
     np.testing.assert_allclose(est.per_sample, reference / 64, rtol=0, atol=BLOCK_TOL)
+
+
+def test_lyapunov_spectrum_raises_on_a_singular_step():
+    singular = Cocycle(0.3, lambda x: np.diag([1.0, 0.0]), 2)
+    with pytest.raises(InvariantError, match="singular step"):
+        lyapunov_spectrum(singular, 10, samples=2)
 
 
 def test_block_engine_raises_on_a_non_finite_step():

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qplattice.longrange
-from qplattice.cli import DEFAULT_RADII
 from qplattice.corpus import CUBIC_TAIL_CUT, cosine_root_state, cubic_tail_operator
 from qplattice.linalg import ArgumentError, InvariantError, banded_matmul, \
     eigenvalues_banded, nearest_eigenpair, solve_shifted_banded
 from qplattice.longrange import (
+    DEFAULT_RADII,
     _running_sums,
     duality_transform,
     lagrange_form,

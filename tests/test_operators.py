@@ -172,12 +172,11 @@ def test_fold_vector_round_trip(k_width, n_blocks, first_block, seed):
 
 
 def test_fold_requires_leading_coefficient():
-    op = LineOperator(Hopping({1: 1.0}), Potential.zero())
-    with pytest.raises(ArgumentError):
-        fold_to_strip(op, k_width=0)
-    with pytest.raises(ArgumentError):
-        # padding past the range would give a singular coupling block
-        fold_to_strip(op, k_width=2)
+    # the fold width is the hopping range, and w_K is the coupling's
+    # diagonal: a line with no off-diagonal hop has none to fold
+    for hopping in ({}, {0: 1.0}):
+        with pytest.raises(ArgumentError):
+            fold_to_strip(LineOperator(Hopping(hopping), Potential.zero()))
 
 
 def test_strip_blocks_hermitian():

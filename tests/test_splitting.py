@@ -1,6 +1,7 @@
 """Dominated splittings, neutral growth, telescoping and variation bounds."""
 
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -251,10 +252,11 @@ def test_horizontal_angle_is_flipped_vertical():
     assert abs(horizontal_angle(frame) - vertical_angle(flipped)) < 1e-12
 
 
-def test_critical_set_test_on_free_operator():
+def test_critical_set_test_on_free_operator(monkeypatch):
     split = compute_splitting(free_cocycle(3.0), 0.0, (1, 0, 1))
     assert critical_set_test(split)
-    assert not critical_set_test(split, floor=1.0)
+    monkeypatch.setattr(splitting, "CRITICAL_ANGLE_FLOOR", 1.0)
+    assert not critical_set_test(split)
 
 
 # ── neutral growth ───────────────────────────────────────────────────────────
@@ -322,7 +324,7 @@ def test_telescoping_pure_rotations():
     assert report.inverse_norm == pytest.approx(1.0, abs=1e-10)
 
 
-def test_telescoping_structured_perturbation():
+def test_telescoping_structured_perturbation(monkeypatch):
     rng = np.random.default_rng(64)
     form = pairing_matrix(np.eye(1))
     base = [expm(np.linalg.solve(form, 0.4 * random_hermitian(rng, 2)))
@@ -335,8 +337,8 @@ def test_telescoping_structured_perturbation():
     def family(t, j):
         return base[j - 1] @ expm(t * gens[j - 1])
 
-    report = telescoping_check(form, family, np.eye(2), lip=lip, t=0.01,
-                               n_steps=40, samples=8)
+    monkeypatch.setattr(splitting, "TELESCOPING_SPOT_CHECKS", 8)
+    report = telescoping_check(form, family, np.eye(2), lip=lip, t=0.01, n_steps=40)
     assert report.ok
     assert report.norm <= report.bound
     assert report.inverse_norm <= report.bound
@@ -358,7 +360,7 @@ def test_telescoping_unperturbed_chain():
     assert report.norm <= report.constant * report.growth + 1e-9
 
 
-def test_telescoping_walks_the_chain_once():
+def test_telescoping_walks_the_chain_once(monkeypatch):
     # one unperturbed and one perturbed link per step; the Lipschitz spot
     # checks reuse the perturbed links
     form = pairing_matrix(np.eye(1))
@@ -370,8 +372,8 @@ def test_telescoping_walks_the_chain_once():
         calls.append((t, j))
         return rotation(angles[j - 1] + t)
 
-    report = telescoping_check(form, family, np.eye(2), lip=1.0, t=0.01,
-                               n_steps=30, samples=8)
+    monkeypatch.setattr(splitting, "TELESCOPING_SPOT_CHECKS", 8)
+    report = telescoping_check(form, family, np.eye(2), lip=1.0, t=0.01, n_steps=30)
     assert report.ok
     assert len(calls) == 2 * 30
     assert sorted(calls) == sorted([(0.0, j) for j in range(1, 31)]
@@ -445,7 +447,7 @@ def test_telescoping_input_validation():
         telescoping_check(form, family, np.eye(2), lip=1.0, t=0.1, n_steps=0)
 
 
-def test_telescoping_matches_the_per_link_walk():
+def test_telescoping_matches_the_per_link_walk(monkeypatch):
     # the stacked links, product scan and frame constants against the walk
     # they replaced, on the first chains test_10 draws (m = 1 and 2, whole
     # space) and on chains of complex links on a proper balanced subspace
@@ -475,6 +477,7 @@ def test_telescoping_matches_the_per_link_walk():
             v = np.eye(2 * m)[:, [0, m]] + 0.2j * rng.standard_normal((2 * m, 2))
             yield s, v, bases, gens, lip, 0.01
 
+    monkeypatch.setattr(splitting, "TELESCOPING_SPOT_CHECKS", 6)
     for s, v, bases, gens, lip, t in chains():
         links = {}
 
@@ -484,7 +487,7 @@ def test_telescoping_matches_the_per_link_walk():
             return links[tt, j]
 
         n = len(bases)
-        report = telescoping_check(s, family, v, lip, t, n, samples=6)
+        report = telescoping_check(s, family, v, lip, t, n)
         reference = reference_telescoping(s, family, v, lip, t, n, samples=6)
         assert report.ok and report.constant == reference.constant
         for name, rel in (("norm", 1e-12), ("inverse_norm", 1e-12),
@@ -492,9 +495,11 @@ def test_telescoping_matches_the_per_link_walk():
             assert getattr(report, name) == pytest.approx(getattr(reference, name), rel=rel)
 
 
-def test_telescoping_raises_for_the_first_faulty_link():
+def test_telescoping_raises_for_the_first_faulty_link(monkeypatch):
     # two faulty links in one chain: whichever comes first along the chain
-    # raises, as in the per-link walk; on one link the pairing comes first
+    # raises, as in the per-link walk; on one link the pairing comes first.
+    # Every link of the chain is spot-checked.
+    monkeypatch.setattr(splitting, "TELESCOPING_SPOT_CHECKS", 8)
     form = pairing_matrix(np.eye(1))
     for skewed, drifting, error, first in ((7, 3, ArgumentError, 3),
                                            (2, 3, InvariantError, 2),
@@ -503,9 +508,9 @@ def test_telescoping_raises_for_the_first_faulty_link():
             link = rotation(0.1 * j) * (2.0 if j == skewed else 1.0)
             return link + (t * np.ones((2, 2)) if j == drifting else 0.0)
 
-        for check in (telescoping_check, reference_telescoping):
+        for check in (telescoping_check, partial(reference_telescoping, samples=8)):
             with pytest.raises(error, match="link %d " % first):
-                check(form, family, np.eye(2), lip=1e-3, t=0.5, n_steps=8, samples=8)
+                check(form, family, np.eye(2), lip=1e-3, t=0.5, n_steps=8)
 
 
 # ── neutral variation under complex energy ───────────────────────────────────

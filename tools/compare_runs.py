@@ -5,9 +5,10 @@ against the qplattice sources of a checkout, and saves what they leave:
 the CLI artifacts as written, and each library call's result, reduced to
 plain numbers and arrays and pickled.  It also runs the whole
 verification corpus once (``run_corpus()``) and keeps its manifest as one
-more library result, keeps two ``center_variation_check`` reports and
-the forward and backward ``iterate`` products of a seeded K=2 strip,
-which no workload computes, as library results too, and runs the
+more library result.  It keeps, as library results too, what no workload
+computes: two ``center_variation_check`` reports, and the forward and
+backward ``iterate`` products of a seeded K=2 strip over 600 steps and
+over 3000, where the plain product overflows and raises.  It runs the
 repository's ``demos/*.py`` against the checkout and keeps what each
 prints.  A second command compares two such runs file by file and
 result by result, bit for bit.
@@ -94,7 +95,7 @@ def run(checkout, seed, out):
     ``out/<workload>/library/NN_<group>.pkl``, the corpus manifest in
     ``out/corpus/run_corpus.pkl``, the reports in
     ``out/center_variation/<name>.pkl``, the products in
-    ``out/iterate/<direction>.pkl``, and what demo ``name.py`` prints in
+    ``out/iterate/<direction>[_3000].pkl``, and what demo ``name.py`` prints in
     ``out/demos/name.txt``."""
     src = (Path(checkout) / "src").resolve()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -127,10 +128,11 @@ def run(checkout, seed, out):
             strip, energy, eps_grid=(0.0, 1e-4, 1e-3), n_max=256))
         save(Path(out) / "center_variation" / (name + ".pkl"), report)
     # 600 steps cross an orbit chunk of the 4x4 transfer matrices (512
-    # steps) and stay finite on the mixed strip
+    # steps) and stay finite on the mixed strip; 3000 steps overflow
     (Path(out) / "iterate").mkdir()
     cocycle = qplattice.transfer_cocycle(*cases["mixed_strip"])
-    for name, n in (("forward", 600), ("backward", -600)):
+    for name, n in (("forward", 600), ("backward", -600),
+                    ("forward_3000", 3000), ("backward_3000", -3000)):
         save(Path(out) / "iterate" / (name + ".pkl"),
              outcome(lambda: qplattice.iterate(cocycle, 0.2, n)))
 
