@@ -124,11 +124,12 @@ def counts_below_banded(bands, energies):
     ``bands`` has shape ``(phases, b + 1, n)``; returns integer counts of
     shape ``(phases, energies)``.  By Sylvester's law of inertia a count
     is the number of negative pivots of an LDLᴴ factorisation of H − E
-    without pivoting.  One sweep costs about n·b²·m
-    operations per matrix for m energies, and an eigensolve about n²·b,
-    so the stack is swept only when b·m <= n; otherwise, and for a matrix
-    whose sweep fails its certificate, the counts are read off
-    :func:`eigenvalues_banded`.  A non-finite band or energy raises.
+    without pivoting.  A sweep's row step takes a real pivot and updates
+    the b(b+1)/2 upper entries of its window: n·b²·m/2 products per matrix
+    for m energies, and an eigensolve about n²·b, so the stack is swept
+    only when b·m <= n; otherwise, and for a matrix whose sweep fails its
+    certificate, the counts are read off :func:`eigenvalues_banded`.  A
+    non-finite band or energy raises.
     """
     bands = np.asarray(bands)
     energies = np.asarray(energies, dtype=float)
@@ -150,12 +151,13 @@ def counts_below_banded(bands, energies):
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _inertia_sweep(bands, energies):
     # Negative pivots of H - E at every (phase, energy), one row per step.
-    # The window s holds the Schur complement of rows k .. k+b-1 (its
-    # strict lower triangle is never read); step k appends column k + b
-    # from the band, takes the pivot s[0, 0] and applies one rank-one
-    # update.  A pivot below pivmin in magnitude becomes +pivmin (LAPACK's
-    # dstebz takes -pivmin, which counts an energy on an eigenvalue), so
-    # the counts are strictly below E, as searchsorted gives them.
+    # A window, the Schur complement of rows k .. k+b-1, is its real
+    # diagonal d and its strict upper triangle s.  Step k takes the pivot
+    # d[0], appends column k + b as (phases, 1) views of the band and writes
+    # the b(b+1)/2 updated upper entries to the other window.  A pivot
+    # below pivmin in magnitude becomes +pivmin (LAPACK's dstebz takes
+    # -pivmin, which counts an energy on an eigenvalue), so the counts are
+    # strictly below E, as searchsorted gives them.
     # Returns the counts and, per phase, whether every value stayed finite
     # and, for b > 1, every pivot-to-be within GROWTH_BOUND times the
     # largest entry of H - E.  That bounds each term of |L| |D| |L^H|, and
@@ -173,34 +175,42 @@ def _inertia_sweep(bands, energies):
     scale = np.maximum(off[:, None],
                        np.maximum(diag.max(axis=1)[:, None] - energies,
                                   energies - diag.min(axis=1)[:, None]))
-    s = np.zeros((bw, bw) + shape, dtype=np.result_type(bands.dtype, float))
-    for i in range(bw):
-        for j in range(i, bw):
-            s[i, j] = bands[:, bw + i - j, j, None]
-        s[i, i] -= energies
-    t = np.zeros_like(s)
-    u = np.empty((bw,) + shape, dtype=s.dtype)
-    update = np.empty_like(s)
+    diagonals = np.empty((2, bw + 1) + shape)  # slot b: the next corner's a - E
+    windows = np.empty((2, bw, bw) + shape, dtype=np.result_type(bands.dtype, float))
+    updates = np.einsum("wii...->wi...", windows).real  # the diagonal slots: d's update
+    diagonals[0, :bw] = diag[:, :bw].T[..., None] - energies
+    for i, j in zip(*np.triu_indices(bw, 1)):
+        windows[0, i, j] = bands[:, bw + i - j, j, None]
     cols = bands.transpose(2, 1, 0)[..., None]
+    heads = cols[:, 0].conj()
     edge = np.zeros_like(cols[0])
+    w, conj_u = np.empty((2, bw) + shape, dtype=windows.dtype)
+    recip = np.zeros(shape, dtype=windows.dtype)  # 1 / d[0], imaginary part 0
+    small, negative = np.empty((2,) + shape, dtype=bool)
+    size, peak = np.zeros((2, bw) + shape)
     counts = np.zeros(shape, dtype=np.int64)
-    peak = np.zeros((bw,) + shape)
     for k in range(n):
-        d = s[0, 0].real
-        d = np.where(np.abs(d) < pivmin, pivmin, d)
-        counts += d < 0
+        d, s, dt, t = diagonals[k % 2], windows[k % 2], diagonals[1 - k % 2], windows[1 - k % 2]
+        np.copyto(d[0], pivmin, where=np.less(np.abs(d[0], out=size[0]), pivmin, out=small))
+        counts += np.less(d[0], 0.0, out=negative)
+        np.divide(1.0, d[0], out=recip.real)
         # past the last column: a decoupled zero row and column
-        col, shift = (cols[k + bw], energies) if k + bw < n else (edge, 0.0)
-        u[: bw - 1] = s[0, 1:]
-        u[bw - 1] = col[0]
-        np.multiply(u.conj()[:, None], (u * (1.0 / d))[None, :], out=update)
-        np.subtract(s[1:, 1:], update[: bw - 1, : bw - 1], out=t[: bw - 1, : bw - 1])
-        np.subtract(col[1:bw], update[: bw - 1, bw - 1], out=t[: bw - 1, bw - 1])
+        col, head, shift = ((cols[k + bw], heads[k + bw], energies) if k + bw < n
+                            else (edge, edge[0], 0.0))
+        # t[i, j] = s[i+1, j+1] - conj(u_i) (u_j (1/d[0])), i <= j; u = s[0, 1:], head
+        np.multiply(col[0], recip, out=w[-1])
+        np.multiply(head, w[-1], out=t[-1, -1])
+        if bw > 1:
+            np.multiply(s[0, 1:], recip, out=w[:-1])
+            conj = np.conj(s[0, 1:], out=conj_u[:-1]) if windows.dtype.kind == "c" else s[0, 1:]
+            for i in range(bw - 1):
+                np.multiply(conj[i], w[i:], out=t[i, i:])
+                np.subtract(s[i + 1, i + 2:], t[i, i + 1:-1], out=t[i, i + 1:-1])
+                np.subtract(col[i + 1], t[i, -1], out=t[i, -1])
         # the new corner as (a - E) - |u|^2 / d, Kahan's order
-        np.subtract(col[bw], shift, out=t[bw - 1, bw - 1])
-        t[bw - 1, bw - 1] -= update[bw - 1, bw - 1]
-        np.maximum(peak, np.abs(np.einsum("ii...->i...", t).real), out=peak)
-        s, t = t, s
+        np.subtract(col[bw].real, shift, out=d[bw])
+        np.subtract(d[1:], updates[1 - k % 2], out=dt[:bw])
+        np.maximum(peak, np.abs(dt[:bw], out=size), out=peak)
     peak = peak.max(axis=0)
     certified = np.isfinite(peak) & (bw == 1 or peak <= GROWTH_BOUND * scale)
     # an off-diagonal entry past 1e154 overflows pivmin

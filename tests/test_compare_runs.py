@@ -121,6 +121,22 @@ def test_library_results_name_their_largest_relative_difference(tmp_path, capsys
         "result: not bitwise equal, largest absolute difference 1e-12, relative 1e-12"]
 
 
+def test_a_call_that_raised_in_one_run_names_its_exception(tmp_path, capsys):
+    raised = {"raised": "ConvergenceError",
+              "message": "plain product overflowed along the orbit"}
+    runs = [make_run(tmp_path / name, "E,L1\n0.5,1.25\n", result)
+            for name, result in (("first", raised), ("second", np.zeros((4, 4), complex)))]
+    assert compare_runs.compare(*runs) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "orbit_sweep/library/00_lyapunov_library.pkl: result: raised ConvergenceError: "
+        "plain product overflowed along the orbit vs complex128(4, 4)")
+    assert compare_runs.differences([np.nan], raised) == [
+        "result: float64(1,) vs raised ConvergenceError: plain product overflowed along "
+        "the orbit"]
+    assert compare_runs.differences(raised, dict(raised, message="non-finite step")) == [
+        "result.message: 'plain product overflowed along the orbit' vs 'non-finite step'"]
+
+
 def test_compare_refuses_a_missing_or_empty_run(tmp_path, capsys):
     run = make_run(tmp_path / "run", "E,L1\n0.5,1.25\n", {"exponents": [1.25]})
     (tmp_path / "empty" / "demos").mkdir(parents=True)

@@ -116,8 +116,8 @@ def eigenvalue_counts(bands, energies):
     return np.stack([np.searchsorted(eigenvalues_banded(ab), energies) for ab in bands])
 
 
-def refuse_eigenvalues(ab_upper):
-    raise AssertionError("eigenvalues_banded called")
+def refuse(*args):
+    raise AssertionError("called")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -125,11 +125,14 @@ def refuse_eigenvalues(ab_upper):
        n_phases=st.integers(1, 3), n_energies=st.integers(1, 6), extra=st.integers(0, 12))
 @example(seed=0, bw=1, real=True, n_phases=2, n_energies=1, extra=0)
 @example(seed=0, bw=1, real=False, n_phases=2, n_energies=1, extra=0)
+@example(seed=0, bw=3, real=False, n_phases=3, n_energies=6, extra=0)
+@example(seed=0, bw=4, real=True, n_phases=3, n_energies=6, extra=0)
 def test_counts_below_banded_match_eigenvalue_counts(seed, bw, real, n_phases, n_energies,
                                                      extra):
     # b m <= n, so every stack is swept, one-row bands too; half the
     # energies are diagonal entries, the first of them row 0's, which
-    # makes an exact zero pivot
+    # makes an exact zero pivot.  The explicit wide rows (b m = n) run the
+    # upper-triangle update and the per-phase column views on every run.
     rng = np.random.default_rng(seed)
     n = bw * n_energies + extra
     bands = np.stack([banded_hermitian(rng, n, bw)[1] for _ in range(n_phases)])
@@ -141,6 +144,25 @@ def test_counts_below_banded_match_eigenvalue_counts(seed, bw, real, n_phases, n
     energies[0] = bands[0, bw, 0].real
     np.testing.assert_array_equal(counts_below_banded(bands, energies),
                                   eigenvalue_counts(bands, energies))
+
+
+@pytest.mark.parametrize("bw", [1, 3])
+def test_counts_below_banded_read_only_the_real_diagonal(monkeypatch, bw):
+    # the imaginary part of a stored diagonal entry is not part of the
+    # Hermitian matrix: the sweep (b m = n) and the eigenvalue counts
+    # (b m > n) count the tilted stack as its real-diagonal copy
+    rng = np.random.default_rng(13)
+    bands = np.stack([banded_hermitian(rng, 24, bw)[1] for _ in range(3)])
+    tilted = bands.copy()
+    tilted[:, bw] += 1j * rng.uniform(-2.0, 2.0, (3, 24))
+    swept, solved = (np.linspace(-3.0, 3.0, m) for m in (24 // bw, 24 // bw + 1))
+    monkeypatch.setattr(linalg, "eigenvalues_banded", refuse)
+    np.testing.assert_array_equal(counts_below_banded(tilted, swept),
+                                  counts_below_banded(bands, swept))
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "_inertia_sweep", refuse)
+    np.testing.assert_array_equal(counts_below_banded(tilted, solved),
+                                  counts_below_banded(bands, solved))
 
 
 def band_with_singular_minor(seed, n=24, n_energies=9):
@@ -176,7 +198,7 @@ def test_counts_below_banded_sweep_the_free_line_at_zero(monkeypatch):
     bands[:, 0, 1:] = 1.0
     energies = np.linspace(-2.5, 2.5, 257)
     closed_form = np.sort(2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
-    monkeypatch.setattr(linalg, "eigenvalues_banded", refuse_eigenvalues)
+    monkeypatch.setattr(linalg, "eigenvalues_banded", refuse)
     counts = counts_below_banded(bands, energies)
     assert counts[0, 128] == n // 2
     np.testing.assert_array_equal(counts, np.tile(np.searchsorted(closed_form, energies), (2, 1)))

@@ -28,8 +28,9 @@ artifact column by column with its provenance footer as text, so the line
 names the field or column that moved and by how much.  A library result
 that moved is named value by value, with the largest absolute and
 relative difference, so a stated tolerance can be read off the line.  A
-demo's output is compared as text, and the line names the first output
-line that differs.
+call that raised in one run only is named by its exception's class and
+message, against the other run's dtype and shape.  A demo's output is
+compared as text, and the line names the first output line that differs.
 """
 
 import argparse
@@ -147,10 +148,23 @@ def run(checkout, seed, out):
         (demos / (script.stem + ".txt")).write_text(done.stdout)
 
 
+def summary(value):
+    """A raised call as its exception's class and message, anything else as
+    its dtype and shape."""
+    import numpy as np
+
+    if isinstance(value, dict) and value.keys() == {"raised", "message"}:
+        return "raised %s: %s" % (value["raised"], value["message"])
+    x = np.asarray(value)
+    return "%s%s" % (x.dtype, x.shape)
+
+
 def differences(a, b, path="result"):
     """Paths at which two plain values differ, with how."""
     import numpy as np
 
+    if isinstance(a, dict) != isinstance(b, dict):  # one run raised, say
+        return ["%s: %s vs %s" % (path, summary(a), summary(b))]
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             return ["%s: keys %s vs %s" % (path, sorted(a), sorted(b))]
